@@ -8,14 +8,14 @@
 /// Measures the engine against the convenience API on uniform-random
 /// doubles, and batch conversion across 1/2/4 threads:
 ///
-///   * toShortest (std::string per value, fresh BigInt state per call)
+///   * toShortest (std::string per value, on the thread's Scratch)
 ///   * engine::format (char buffer, warm Scratch, arena-backed limbs)
 ///   * BatchEngine<double>::convert at 1, 2, and 4 threads
 ///
 /// The generic pipeline's other first-class batch formats ride along:
-/// BatchEngine<float> over uniform-random binary32 (batch32_* metrics,
-/// Grisu-certified fast path) and BatchEngine<Binary16> over the whole
-/// 65536-encoding half space (batch16_* metrics, pure exact path).  A
+/// BatchEngine<float> over uniform-random binary32 (batch32_* metrics) and
+/// BatchEngine<Binary16> over the whole 65536-encoding half space
+/// (batch16_* metrics), both served by the Ryu rung.  A
 /// default run emits every metric; --format=binary64|binary32|binary16
 /// restricts the run to one suite (its metrics keep their names, so
 /// bench_check.py compares the subset and warns about the rest).
@@ -416,9 +416,8 @@ int main(int Argc, char **Argv) {
   }
 
   if (RunFloat) {
-    // binary32 through the same generic batch pipeline: the Grisu fast
-    // path is certified here too, so this is the second first-class fast
-    // format.
+    // binary32 through the same generic batch pipeline: Ryu certifies
+    // it too, so this is the second first-class fast format.
     std::vector<float> Values32 = randomBitsFloats(Count, 42);
     benchTypedBatch(Values32, "batch32", "batch32", Reps, Report);
   }

@@ -10,9 +10,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "baselines/grisu.h"
 #include "baselines/steele_white.h"
 #include "core/free_format.h"
-#include "fastpath/grisu.h"
 #include "format/dtoa.h"
 #include "fp/binary16.h"
 
@@ -98,7 +98,7 @@ void BM_SteeleWhiteDouble(benchmark::State &State) {
 BENCHMARK(BM_SteeleWhiteDouble)->DenseRange(0, 4);
 
 void BM_GrisuFastDouble(benchmark::State &State) {
-  // The Grisu3 fast path with exact fallback (Loitsch 2010, the follow-on
+  // The Grisu3 baseline with exact fallback (Loitsch 2010, the follow-on
   // to the paper): typically ~10x the exact path on the happy path.
   double V = TestValues[State.range(0)];
   for (auto _ : State) {

@@ -1,4 +1,4 @@
-//===- fastpath/grisu.cpp - Grisu3 fast shortest-output path ------------------===//
+//===- baselines/grisu.cpp - Grisu3 shortest-output baseline ----------------===//
 //
 // Part of libdragon4. SPDX-License-Identifier: MIT
 //
@@ -15,17 +15,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "fastpath/grisu.h"
+#include "baselines/grisu.h"
 
-#include "bigint/power_cache.h"
 #include "fastpath/diyfp.h"
-#include "obs/trace.h"
-#include "prof/phase.h"
 #include "support/checks.h"
 
-#include <bit>
 #include <cmath>
-#include <vector>
 
 using namespace dragon4;
 
@@ -36,55 +31,6 @@ namespace {
 /// holds at least one and at most ~9 decimal digits.
 constexpr int Alpha = -60;
 constexpr int Gamma = -32;
-
-/// 10^K10 with a 64-bit correctly rounded significand, straight from the
-/// exact bignum power (negative K10 via a 128-plus-bit division).
-DiyFp computePowerOfTen(int K10) {
-  // Cache warming is per-thread one-time work: its BigInt traffic must not
-  // be charged to whichever conversion happened to touch the power first
-  // (it would skew op counts and break thread-count determinism).
-  D4_OBS_SUPPRESS_TRACE();
-  if (K10 >= 0) {
-    const BigInt &Exact = cachedPow(10, static_cast<unsigned>(K10));
-    int Bits = static_cast<int>(Exact.bitLength());
-    if (Bits <= 64)
-      return diyNormalize(DiyFp{Exact.toUint64(), 0});
-    // Keep the top 64 bits, rounding half-up on the first dropped bit
-    // (round-half-up keeps the error within the +/-1 unit the algorithm
-    // already assumes).
-    BigInt Top = Exact;
-    Top >>= static_cast<size_t>(Bits - 64);
-    uint64_t F = Top.toUint64();
-    bool RoundBit = Exact.testBit(static_cast<size_t>(Bits - 65));
-    int E = Bits - 64;
-    if (RoundBit) {
-      ++F;
-      if (F == 0) { // Carried out of 64 bits: 2^64 = 2^63 * 2.
-        F = uint64_t(1) << 63;
-        E += 1;
-      }
-    }
-    return DiyFp{F, E};
-  }
-  // 10^-n = 2^-(Bits+63) * (2^(Bits+63) / 10^n), quotient in (2^63, 2^64).
-  const BigInt &P = cachedPow(10, static_cast<unsigned>(-K10));
-  int Bits = static_cast<int>(P.bitLength());
-  BigInt Numerator(uint64_t(1));
-  Numerator <<= static_cast<size_t>(Bits + 63);
-  BigInt Q, R;
-  BigInt::divMod(Numerator, P, Q, R);
-  // Round to nearest via the remainder.
-  BigInt Doubled = R;
-  Doubled.mulSmall(2);
-  if (Doubled >= P)
-    Q.addSmall(1);
-  int E = -(Bits + 63);
-  if (Q.bitLength() > 64) {
-    Q >>= 1; // Rounding reached 2^64: drop the (zero) low bit.
-    E += 1;
-  }
-  return diyNormalize(DiyFp{Q.toUint64(), E});
-}
 
 /// Largest power of ten not above \p Value (Value < 2^MaxBits), plus its
 /// exponent: the initial decimal position of the integer part.
@@ -191,25 +137,6 @@ bool digitGen(DiyFp Low, DiyFp W, DiyFp High, std::vector<uint8_t> &Digits,
 
 } // namespace
 
-DiyFp dragon4::cachedPowerOfTen(int K10) {
-  // Lazily filled per-thread cache over the full double range (and some
-  // slack): 10^-360 .. 10^+360.
-  constexpr int MinK = -360;
-  constexpr int MaxK = 360;
-  D4_ASSERT(K10 >= MinK && K10 <= MaxK, "power of ten out of cached range");
-  struct Entry {
-    DiyFp Value;
-    bool Filled = false;
-  };
-  thread_local std::vector<Entry> Cache(MaxK - MinK + 1);
-  Entry &Slot = Cache[static_cast<size_t>(K10 - MinK)];
-  if (!Slot.Filled) {
-    Slot.Value = computePowerOfTen(K10);
-    Slot.Filled = true;
-  }
-  return Slot.Value;
-}
-
 std::optional<DigitString>
 dragon4::grisuShortest(uint64_t F, int E, int Precision, int MinExponent) {
   DigitString Result;
@@ -222,7 +149,6 @@ dragon4::grisuShortest(uint64_t F, int E, int Precision, int MinExponent) {
 bool dragon4::grisuShortestInto(uint64_t F, int E, int Precision,
                                 int MinExponent, std::vector<uint8_t> &Digits,
                                 int &K) {
-  D4_PROF_SPAN(FastPath);
   D4_ASSERT(F > 0, "fast path requires a positive mantissa");
   D4_ASSERT(Precision <= 62, "fast path requires p <= 62 (see header)");
   D4_ASSERT(F < (uint64_t(1) << Precision), "mantissa exceeds precision");

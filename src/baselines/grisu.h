@@ -1,52 +1,42 @@
-//===- fastpath/grisu.h - Grisu3 fast shortest-output path -------*- C++ -*-===//
+//===- baselines/grisu.h - Grisu3 shortest-output baseline ------*- C++ -*-===//
 //
 // Part of libdragon4. SPDX-License-Identifier: MIT
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A Grisu3-style fast path for base-10 shortest output, after Loitsch,
-/// "Printing floating-point numbers quickly and accurately with
-/// integers" (PLDI 2010) -- the direct successor of the Burger-Dybvig
-/// algorithm this library reproduces.  The idea: do the whole conversion
-/// in 64-bit fixed-point arithmetic against a precomputed approximation
-/// of 10^k, track the accumulated error, and *fail* whenever the error
-/// could affect either shortness or the final rounding; the caller then
-/// falls back to the exact bignum path.  On typical doubles it succeeds
-/// ~99.5% of the time and is an order of magnitude faster.
+/// Grisu3 for base-10 shortest output, after Loitsch, "Printing
+/// floating-point numbers quickly and accurately with integers" (PLDI
+/// 2010) -- the direct successor of the Burger-Dybvig algorithm this
+/// library reproduces, kept as a benchmark comparator (the role
+/// Champagne Gareau-Lemire give it) rather than a production rung: Ryu
+/// accepts every input Grisu's model covers, and never gives up.  The
+/// idea: do the whole conversion in 64-bit fixed-point arithmetic against
+/// a precomputed approximation of 10^k, track the accumulated error, and
+/// *fail* whenever the error could affect either shortness or the final
+/// rounding; the caller then falls back to the exact bignum path.  On
+/// typical doubles it succeeds ~99.5% of the time.
 ///
-/// Faithful to this repository's spirit, the 10^k cache is not a table of
-/// magic constants: it is derived at first use from the exact BigInt
-/// powers, rounded to 64 bits (tested against the bignum path bit for
-/// bit).
+/// The 10^k approximations are fastpath/diyfp.h's cachedPowerOfTen, read
+/// from the compile-time powers-of-five table.
 ///
-/// The fast path models the conservative reader (boundaries excluded),
-/// matching BoundaryMode::Conservative of the exact algorithm.
+/// Grisu models the conservative reader (boundaries excluded) with
+/// round-up ties, matching BoundaryMode::Conservative of the exact
+/// algorithm.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef DRAGON4_FASTPATH_GRISU_H
-#define DRAGON4_FASTPATH_GRISU_H
+#ifndef DRAGON4_BASELINES_GRISU_H
+#define DRAGON4_BASELINES_GRISU_H
 
 #include "core/digits.h"
 #include "core/free_format.h"
 #include "fp/ieee_traits.h"
 
 #include <optional>
+#include <vector>
 
 namespace dragon4 {
-
-/// A 64-bit-significand floating-point value F * 2^E ("do-it-yourself
-/// floating point" in Loitsch's terminology).
-struct DiyFp {
-  uint64_t F = 0;
-  int E = 0;
-};
-
-/// Returns 10^\p K10 as a DiyFp with a normalized (top-bit-set) 64-bit
-/// significand, correctly rounded, computed from the exact BigInt power
-/// and cached per thread.  Exposed for tests.
-DiyFp cachedPowerOfTen(int K10);
 
 /// Attempts the fast shortest conversion of the positive value F * 2^E
 /// with the given precision/minimum exponent (base 10, conservative
@@ -60,8 +50,8 @@ std::optional<DigitString> grisuShortest(uint64_t F, int E, int Precision,
 /// first, capacity reused across calls) and sets \p K so that
 /// v = 0.d1...dn * 10^K, and returns true.  Returns false when the error
 /// analysis cannot certify the result; \p Digits is then garbage and the
-/// caller must take the exact path.  Allocates nothing once \p Digits and
-/// the per-thread 10^k cache are warm.
+/// caller must take the exact path.  Allocates nothing once \p Digits is
+/// warm.
 bool grisuShortestInto(uint64_t F, int E, int Precision, int MinExponent,
                        std::vector<uint8_t> &Digits, int &K);
 
@@ -87,4 +77,4 @@ extern template DigitString shortestDigitsFast<float>(float);
 
 } // namespace dragon4
 
-#endif // DRAGON4_FASTPATH_GRISU_H
+#endif // DRAGON4_BASELINES_GRISU_H

@@ -19,29 +19,34 @@
 ///              (narrow f:uint64 or wide f:BigInt), Table 1 boundaries
 ///   core/      scaling, free-format, fixed-format, the rational oracle
 ///              (uint64 and BigInt digit loops behind one interface)
-///   fastpath/  Grisu3, certified for binary32/64 only (traits-gated);
+///   fastpath/  Ryu, the first shortest rung for binary16/32/64 (traits-
+///              gated), over parse/'s powers-of-five table; DiyFp and the
+///              64-bit cached powers of ten; the Gay-style fixed path.
 ///              Ryu's digit emission reuses render_core's digit store (the
 ///              one accepted fastpath -> format edge: render_core.h itself
 ///              depends only on core/ and support/, so there is no cycle)
 ///   reader/    correctly rounded text -> float (exact; verification side)
 ///   parse/     Eisel-Lemire text -> float (production side), certified
 ///              fallback to reader/ on the undecidable residue
-///   format/    the Sink concept (sink.h) and the writer-generic digit
-///              rendering core (render_core.h) under the toShortest/
-///              toFixed/printf templates, all five formats
-///   engine/    formatInto<T, Sink> -- the one conversion body every
-///              surface instantiates -- plus format<T>/formatFixed<T>,
+///   format/    the Sink concept (sink.h), the writer-generic digit
+///              rendering core (render_core.h), printf and Scheme
+///              notation, and the string API's declarations (dtoa.h)
+///   engine/    formatInto<T, Sink> and formatFixedInto<T, Sink> -- the
+///              conversion bodies every surface instantiates -- plus
+///              format<T>/formatFixed<T>, the string API's definitions
+///              (toShortest/toFixed are StringSink instantiations),
 ///              RecordStream (push-style streaming), BatchEngine<T>,
 ///              type-erased AnyBatch, per-format counters and bounds
 ///   abi/       the stable C ABI (dragon4_to_chars.h): hardened, locale-
 ///              and allocation-free C99 entry points over engine/ + parse/
-///   baselines/ Steele-White, straightforward fixed-format, printf shim
+///   baselines/ Steele-White, Grisu3, straightforward fixed-format,
+///              printf shim -- named comparators, not production rungs
 ///   testgen/   Schryer-style and random workloads
 ///
 /// The pipeline shape, identical for every T:
 ///
 ///   bits --(fp: decompose/decomposeBig)--> DecomposedFloat
-///        --(core: digit loop; fastpath when certified)--> digits + K
+///        --(Ryu when certified, else the core digit loop)--> digits + K
 ///        --(format/engine: one render core over one Sink concept)--> bytes
 ///
 //===----------------------------------------------------------------------===//
@@ -50,6 +55,7 @@
 #define DRAGON4_DRAGON4_H
 
 #include "baselines/fixed17.h"
+#include "baselines/grisu.h"
 #include "baselines/printf_shim.h"
 #include "baselines/steele_white.h"
 #include "bigint/bigint.h"
@@ -68,7 +74,6 @@
 #include "engine/stream.h"
 #include "fastpath/diyfp.h"
 #include "fastpath/fixed_fast.h"
-#include "fastpath/grisu.h"
 #include "format/dtoa.h"
 #include "format/printf_compat.h"
 #include "format/render.h"

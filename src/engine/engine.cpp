@@ -8,12 +8,13 @@
 /// The single-value engine layer, one template over all five formats and
 /// every output sink.  The conversion core is untouched: this file routes
 /// it through reusable storage (Scratch's arena and digit buffers) and
-/// renders the resulting digits through the same render_core templates
-/// that back format/render.cpp, so engine::format(v) == toShortest(v)
-/// holds byte for byte for every instantiation.  formatInto is the one
-/// writer-generic body; format() (BufferSink), the StringTable batch path
-/// (format() per slot), and RecordStream::push (StreamSink) are its
-/// instantiations.
+/// renders the resulting digits through the render_core templates.
+/// formatInto (shortest) and formatFixedInto (fixed) are the two
+/// writer-generic bodies; format()/formatFixed() (BufferSink), the
+/// StringTable batch path (format() per slot), RecordStream::push
+/// (StreamSink), and the string API's toShortest/toFixed (StringSink) are
+/// their instantiations.  toPrecision/toExponential live here too, so the
+/// PrintOptions mapping and the special-value rendering exist once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +22,6 @@
 
 #include "core/fixed_format.h"
 #include "core/free_format.h"
-#include "fastpath/grisu.h"
 #include "fastpath/ryu.h"
 #include "format/render_core.h"
 #include "obs/trace.h"
@@ -40,7 +40,7 @@ namespace dragon4::engine {
 /// Scratch; keeps the reusable buffers out of the public surface).
 struct ScratchAccess {
   static EngineStats &stats(Scratch &S) { return S.Stats; }
-  static std::vector<uint8_t> &fastDigits(Scratch &S) { return S.FastDigits; }
+  static std::vector<uint8_t> &ryuDigits(Scratch &S) { return S.RyuDigits; }
   static DigitLoopResult &loop(Scratch &S) { return S.Loop; }
   static DigitString &fixedDigits(Scratch &S) { return S.FixedDigits; }
 };
@@ -75,19 +75,6 @@ FixedFormatOptions fixedOptionsFrom(const PrintOptions &Options) {
   return Fixed;
 }
 
-/// The Grisu fast path models the conservative reader (boundaries
-/// excluded) with round-up ties.  That equals the requested semantics
-/// exactly when the options ask for Conservative, or for NearestEven on a
-/// value with an odd mantissa -- an odd mantissa can never sit on an
-/// inclusive boundary, so NearestEven and Conservative flags coincide.
-bool fastPathEligible(const PrintOptions &Options, bool OddMantissa) {
-  if (Options.Base != 10 || Options.Ties != TieBreak::RoundUp)
-    return false;
-  if (Options.Boundaries == BoundaryMode::Conservative)
-    return true;
-  return Options.Boundaries == BoundaryMode::NearestEven && OddMantissa;
-}
-
 void recordSlowDigits(EngineStats &Stats, size_t NumDigits) {
   constexpr size_t Last = EngineStats::DigitBuckets - 1;
   size_t Bucket = NumDigits < Last ? NumDigits : Last;
@@ -95,31 +82,128 @@ void recordSlowDigits(EngineStats &Stats, size_t NumDigits) {
 }
 
 /// Writes NaN / infinity / zero, or returns false for finite non-zero
-/// values.  \p writeZero emits the format-specific zero text (sign already
+/// values.  \p writeZero emits the surface-specific zero text (sign already
 /// written).
 template <typename T, Sink W, typename WriteZero>
-bool putSpecial(W &Out, T Value, EngineStats &Stats, WriteZero writeZero) {
+bool putSpecial(W &Out, T Value, WriteZero writeZero) {
   switch (classify(Value)) {
   case FpClass::NaN:
     Out.literal("nan");
-    break;
+    return true;
   case FpClass::Infinity:
     Out.literal(signBit(Value) ? "-inf" : "inf");
-    break;
+    return true;
   case FpClass::Zero:
     if (signBit(Value))
       Out.put('-');
     writeZero();
-    break;
+    return true;
   case FpClass::Normal:
   case FpClass::Subnormal:
-    return false;
+    break;
   }
-  ++Stats.Specials;
-  return true;
+  return false;
 }
 
+/// "0", then \p FractionDigits zeros after a radix point when positive.
+template <Sink W> void putZero(W &Out, int FractionDigits) {
+  Out.put('0');
+  if (FractionDigits > 0) {
+    Out.put('.');
+    Out.fill(static_cast<size_t>(FractionDigits), '0');
+  }
+}
+
+/// Bookkeeping around one engine call.  Draws the 1-in-N observability
+/// sample; a sampled conversion gets this Scratch's trace and phase
+/// collector installed and is recorded at finish(), an unsampled one
+/// leaves whatever is installed (tests and the verify harness install
+/// their own) in place.  The frame also owns the call's Total phase span,
+/// which opens after the sampling prologue and closes in finish() before
+/// the sample is recorded: the profile covers the conversion, not its own
+/// telemetry.  With DRAGON4_OBS off only the truncation count and the
+/// length remain.
+class CallFrame {
+public:
+  // Every body instantiation constructs one, so GCC's size heuristics
+  // leave this out of line, which costs about 5 ns per conversion.
+  [[gnu::always_inline]] CallFrame(Scratch &S, const PrintOptions &Options,
+                                   obs::Path Initial)
+#if DRAGON4_OBS_ENABLED
+      : Obs(S.obsState()), Sampled(Obs.tick()),
+        StartNs(Sampled ? begin(Options) : 0),
+        TraceScope(Sampled ? &Obs.Current : obs::activeTrace()),
+        ProfScope(Sampled ? &Obs.Phases : prof::activePhaseCollector()),
+        Total(prof::Phase::Total), PathKind(Initial)
+#endif
+  {
+#if !DRAGON4_OBS_ENABLED
+    (void)S;
+    (void)Options;
+    (void)Initial;
+#endif
+  }
+
+  void setPath([[maybe_unused]] obs::Path P) {
+#if DRAGON4_OBS_ENABLED
+    PathKind = P;
+#endif
+  }
+
+  /// Closes out the call: ends the Total span, counts truncation (bounded
+  /// sinks only -- an unbounded sink never overflows), records a sampled
+  /// conversion, and returns the call's length relative to \p Start.
+  template <typename T, typename W>
+  size_t finish(T Value, const W &Out, size_t Start, EngineStats &Stats) {
+#if DRAGON4_OBS_ENABLED
+    Total.close();
+#endif
+    const bool Truncated = sinkOverflowed(Out);
+    if (Truncated)
+      ++Stats.Truncated;
+#if DRAGON4_OBS_ENABLED
+    if (Sampled) {
+      uint64_t BitsLo, BitsHi;
+      FormatTraits<T>::encodingBits(Value, BitsLo, BitsHi);
+      Obs.finishConversion(Obs.Current, PathKind, FormatTraits<T>::Id, BitsLo,
+                           BitsHi, StartNs, obs::nowNanos() - StartNs,
+                           Truncated, /*Mismatch=*/false);
+    }
+#else
+    (void)Value;
+#endif
+    return Out.written() - Start;
+  }
+
+#if DRAGON4_OBS_ENABLED
+private:
+  uint64_t begin(const PrintOptions &Options) {
+    Obs.Current.reset();
+    // Stamp the active options so a tail-exemplar capture can name the
+    // exact configuration that was slow.
+    Obs.Current.noteOptions(
+        Options.Base, obs::exemplar::packOptionsMode(
+                          static_cast<unsigned>(Options.Boundaries),
+                          static_cast<unsigned>(Options.Ties)));
+    return obs::nowNanos();
+  }
+
+  obs::ObsState &Obs;
+  const bool Sampled;
+  const uint64_t StartNs;
+  obs::ActiveTraceScope TraceScope;
+  prof::PhaseScope ProfScope;
+  prof::PhaseSpan Total;
+  obs::Path PathKind;
+#endif
+};
+
 } // namespace
+
+Scratch &dragon4::engine::threadScratch() {
+  thread_local Scratch S;
+  return S;
+}
 
 template <typename T, typename W>
 size_t dragon4::engine::formatInto(T Value, const PrintOptions &Options,
@@ -130,65 +214,15 @@ size_t dragon4::engine::formatInto(T Value, const PrintOptions &Options,
   // A StreamSink arrives mid-stream; everything below reports lengths
   // relative to this call's first byte.
   const size_t Start = Out.written();
-  // Closes out one call: counts truncation (bounded sinks only -- an
-  // unbounded sink never overflows) and returns this call's length.
-  auto Finish = [&]() -> size_t {
-    if (sinkOverflowed(Out))
-      ++Stats.Truncated;
-    return Out.written() - Start;
-  };
-
-#if DRAGON4_OBS_ENABLED
-  // Sampling decision up front: one branch when sampling is off.  When this
-  // conversion is not sampled the previous active trace (if any -- tests
-  // and the verify harness install their own) is left in place.
-  obs::ObsState &Obs = S.obsState();
-  const bool Sampled = Obs.tick();
-  uint64_t StartNs = 0;
-  if (Sampled) {
-    Obs.Current.reset();
-    // Stamp the active options so a tail-exemplar capture can name the
-    // exact configuration that was slow.
-    Obs.Current.noteOptions(
-        Options.Base,
-        obs::exemplar::packOptionsMode(
-            static_cast<unsigned>(Options.Boundaries),
-            static_cast<unsigned>(Options.Ties)));
-    StartNs = obs::nowNanos();
-  }
-  obs::ActiveTraceScope TraceScope(Sampled ? &Obs.Current
-                                           : obs::activeTrace());
-  // Phase attribution rides the same sampling decision: sampled
-  // conversions install this Scratch's collector; unsampled ones leave
-  // whatever is installed (tests profile explicitly) in place.
-  prof::PhaseScope ProfScope(Sampled ? &Obs.Phases
-                                     : prof::activePhaseCollector());
-  obs::Path PathKind = obs::Path::Unknown;
-  auto ObsEpilogue = [&](size_t Len) {
-    if (Sampled) {
-      uint64_t BitsLo, BitsHi;
-      Format::encodingBits(Value, BitsLo, BitsHi);
-      Obs.finishConversion(Obs.Current, PathKind, Format::Id, BitsLo, BitsHi,
-                           StartNs,
-                           obs::nowNanos() - StartNs,
-                           /*Truncated=*/sinkOverflowed(Out),
-                           /*Mismatch=*/false);
-    }
-    return Len;
-  };
-#else
-  auto ObsEpilogue = [](size_t Len) { return Len; };
-#endif
-  D4_PROF_SPAN(Total);
+  CallFrame Frame(S, Options, obs::Path::Unknown);
 
   bool Negative = false;
   {
     D4_PROF_SPAN(Decompose);
-    if (putSpecial(Out, Value, Stats, [&Out] { Out.put('0'); })) {
-#if DRAGON4_OBS_ENABLED
-      PathKind = obs::Path::Special;
-#endif
-      return ObsEpilogue(Finish());
+    if (putSpecial(Out, Value, [&Out] { Out.put('0'); })) {
+      ++Stats.Specials;
+      Frame.setPath(obs::Path::Special);
+      return Frame.finish(Value, Out, Start, Stats);
     }
     Negative = signBit(Value);
   }
@@ -202,93 +236,44 @@ size_t dragon4::engine::formatInto(T Value, const PrintOptions &Options,
   using DecompT =
       std::conditional_t<Format::WideMantissa, DecomposedBig, Decomposed>;
   DecompT D;
-  bool OddMantissa = false;
   {
     D4_PROF_SPAN(Decompose);
-    if constexpr (Format::WideMantissa) {
+    if constexpr (Format::WideMantissa)
       D = decomposeBig(Value);
-      OddMantissa = D.F.testBit(0);
-    } else {
+    else
       D = decompose(Value);
-      OddMantissa = (D.F & 1) != 0;
-    }
   }
-  const bool OptionsAllowFast = fastPathEligible(Options, OddMantissa);
 
   std::span<const uint8_t> Digits;
   int K = 0;
-  // The fallback ladder: Ryu -> Grisu3 -> exact loop.  Ryu is the front
-  // line for every certified narrow format (binary16/32/64) and any
-  // symmetric reader model; its only failures are defensive range checks,
-  // counted as RyuFallbacks.  The RyuPath/FastPath phase spans live
-  // inside the converters themselves.
-  bool RyuOk = false;
-  bool RyuTried = false;
+  // Two rungs: Ryu for base-10 symmetric reader models on binary16/32/64
+  // (it never refuses; see ryu.h), the exact loop for everything else.
+  // The RyuPath phase span lives inside ryuShortestInto.
+  bool Ryu = false;
   if constexpr (!Format::WideMantissa && Format::RyuCertified) {
     bool AcceptBounds = false;
-    if (ryuEligible(Options.Base, Options.Boundaries, !OddMantissa,
+    if (ryuEligible(Options.Base, Options.Boundaries, (D.F & 1) == 0,
                     AcceptBounds)) {
-      RyuTried = true;
-      RyuOk = ryuShortestInto(D.F, D.E, Traits::Precision,
-                              Traits::MinExponent, AcceptBounds, Options.Ties,
-                              ScratchAccess::fastDigits(S), K);
+      ryuShortestInto(D.F, D.E, Traits::Precision, Traits::MinExponent,
+                      AcceptBounds, Options.Ties, ScratchAccess::ryuDigits(S),
+                      K);
+      Ryu = true;
     }
   }
-  if (RyuTried && !RyuOk)
-    ++Stats.RyuFallbacks;
-  // Only Grisu-certified formats (binary32/64) may enter the Grisu rung;
-  // the rest are counted as format-ineligible below rather than silently
-  // special-cased.
-  bool FastOk = false;
-  if constexpr (Format::FastPathCertified) {
-    if (!RyuOk && OptionsAllowFast)
-      FastOk = grisuShortestInto(D.F, D.E, Traits::Precision,
-                                 Traits::MinExponent,
-                                 ScratchAccess::fastDigits(S), K);
-  }
-  if (RyuOk) {
+  if (Ryu) {
     ++Stats.RyuHits;
-    Digits = ScratchAccess::fastDigits(S);
+    Digits = ScratchAccess::ryuDigits(S);
+    Frame.setPath(obs::Path::Ryu);
 #if DRAGON4_OBS_ENABLED
-    PathKind = obs::Path::Ryu;
     if (auto *Trace = obs::activeTrace()) {
-      // The fast path bypasses the digit loop's trace point.
-      Trace->DigitsEmitted = static_cast<uint32_t>(Digits.size());
-      Trace->FinalK = K;
-    }
-#endif
-  } else if (FastOk) {
-    ++Stats.FastPathHits;
-    Digits = ScratchAccess::fastDigits(S);
-#if DRAGON4_OBS_ENABLED
-    PathKind = obs::Path::FastPath;
-    if (auto *Trace = obs::activeTrace()) {
-      // The fast path bypasses the digit loop's trace point.
+      // Ryu bypasses the digit loop's trace point.
       Trace->DigitsEmitted = static_cast<uint32_t>(Digits.size());
       Trace->FinalK = K;
     }
 #endif
   } else {
-    if (Format::FastPathCertified && OptionsAllowFast) {
-      ++Stats.FastPathFails;
-#if DRAGON4_OBS_ENABLED
-      PathKind = obs::Path::SlowFallback;
-      if (auto *Trace = obs::activeTrace())
-        Trace->FastFail = 1; // Attempted but uncertified.
-#endif
-    } else {
-      ++Stats.SlowPathDirect;
-      // The format-ineligible dimension is option-independent: for an
-      // uncertified format no option setting could reach the fast path,
-      // so every slow-direct conversion is counted.
-      if (!Format::FastPathCertified)
-        ++Stats.FastPathIneligibleFormat;
-#if DRAGON4_OBS_ENABLED
-      PathKind = obs::Path::SlowDirect;
-      if (auto *Trace = obs::activeTrace())
-        Trace->FastFail = 2; // Ineligible for the fast path.
-#endif
-    }
+    ++Stats.SlowPathDirect;
+    Frame.setPath(obs::Path::SlowDirect);
     DigitLoopResult &Loop = ScratchAccess::loop(S);
     if constexpr (Format::WideMantissa)
       K = freeFormatDigitsBigInto(D.F, D.E, Traits::Precision,
@@ -310,78 +295,23 @@ size_t dragon4::engine::formatInto(T Value, const PrintOptions &Options,
                                   Negative, renderOptionsFrom(Options));
   }
   S.syncArenaStats();
-  return ObsEpilogue(Finish());
+  return Frame.finish(Value, Out, Start, Stats);
 }
 
-template <typename T>
-size_t dragon4::engine::format(T Value, char *Buffer, size_t BufferSize,
-                               const PrintOptions &Options, Scratch &S) {
-  BufferSink Out(Buffer, BufferSize);
-  return formatInto(Value, Options, S, Out);
-}
-
-template <typename T>
-size_t dragon4::engine::formatFixed(T Value, int FractionDigits, char *Buffer,
-                                    size_t BufferSize,
-                                    const PrintOptions &Options, Scratch &S) {
+template <typename T, typename W>
+size_t dragon4::engine::formatFixedInto(T Value, int FractionDigits,
+                                        const PrintOptions &Options,
+                                        Scratch &S, W &Out) {
   D4_ASSERT(FractionDigits >= 0, "negative fraction-digit count");
   using Format = FormatTraits<T>;
   EngineStats &Stats = ScratchAccess::stats(S);
-  BufferSink Out(Buffer, BufferSize);
-  auto Finish = [&]() -> size_t {
-    if (Out.overflowed())
-      ++Stats.Truncated;
-    return Out.required();
-  };
+  const size_t Start = Out.written();
+  CallFrame Frame(S, Options, obs::Path::Fixed);
 
-#if DRAGON4_OBS_ENABLED
-  obs::ObsState &Obs = S.obsState();
-  const bool Sampled = Obs.tick();
-  uint64_t StartNs = 0;
-  if (Sampled) {
-    Obs.Current.reset();
-    // Stamp the active options so a tail-exemplar capture can name the
-    // exact configuration that was slow.
-    Obs.Current.noteOptions(
-        Options.Base,
-        obs::exemplar::packOptionsMode(
-            static_cast<unsigned>(Options.Boundaries),
-            static_cast<unsigned>(Options.Ties)));
-    StartNs = obs::nowNanos();
-  }
-  obs::ActiveTraceScope TraceScope(Sampled ? &Obs.Current
-                                           : obs::activeTrace());
-  prof::PhaseScope ProfScope(Sampled ? &Obs.Phases
-                                     : prof::activePhaseCollector());
-  obs::Path PathKind = obs::Path::Fixed;
-  auto ObsEpilogue = [&](size_t Len) {
-    if (Sampled) {
-      uint64_t BitsLo, BitsHi;
-      Format::encodingBits(Value, BitsLo, BitsHi);
-      Obs.finishConversion(Obs.Current, PathKind, Format::Id, BitsLo, BitsHi,
-                           StartNs,
-                           obs::nowNanos() - StartNs,
-                           /*Truncated=*/Out.overflowed(),
-                           /*Mismatch=*/false);
-    }
-    return Len;
-  };
-#else
-  auto ObsEpilogue = [](size_t Len) { return Len; };
-#endif
-  D4_PROF_SPAN(Total);
-
-  if (putSpecial(Out, Value, Stats, [&] {
-        Out.put('0');
-        if (FractionDigits > 0) {
-          Out.put('.');
-          Out.fill(static_cast<size_t>(FractionDigits), '0');
-        }
-      })) {
-#if DRAGON4_OBS_ENABLED
-    PathKind = obs::Path::Special;
-#endif
-    return ObsEpilogue(Finish());
+  if (putSpecial(Out, Value, [&] { putZero(Out, FractionDigits); })) {
+    ++Stats.Specials;
+    Frame.setPath(obs::Path::Special);
+    return Frame.finish(Value, Out, Start, Stats);
   }
 
   ConversionScope Scope(S);
@@ -398,12 +328,82 @@ size_t dragon4::engine::formatFixed(T Value, int FractionDigits, char *Buffer,
 
   {
     D4_PROF_SPAN(Render);
+    // A conversion that stopped at -FractionDigits always shows exactly
+    // FractionDigits places.
     render_detail::renderPositionalInto(Out, Digits.Digits, Digits.K,
                                         Digits.TrailingMarks, signBit(Value),
                                         renderOptionsFrom(Options));
   }
   S.syncArenaStats();
-  return ObsEpilogue(Finish());
+  return Frame.finish(Value, Out, Start, Stats);
+}
+
+template <typename T>
+size_t dragon4::engine::format(T Value, char *Buffer, size_t BufferSize,
+                               const PrintOptions &Options, Scratch &S) {
+  BufferSink Out(Buffer, BufferSize);
+  return formatInto(Value, Options, S, Out);
+}
+
+template <typename T>
+size_t dragon4::engine::formatFixed(T Value, int FractionDigits, char *Buffer,
+                                    size_t BufferSize,
+                                    const PrintOptions &Options, Scratch &S) {
+  BufferSink Out(Buffer, BufferSize);
+  return formatFixedInto(Value, FractionDigits, Options, S, Out);
+}
+
+//===----------------------------------------------------------------------===//
+// The string API (declared in format/dtoa.h)
+//===----------------------------------------------------------------------===//
+
+template <typename T>
+std::string dragon4::toShortest(T Value, const PrintOptions &Options) {
+  StringSink Out;
+  formatInto(Value, Options, threadScratch(), Out);
+  return std::move(Out.Out);
+}
+
+template <typename T>
+std::string dragon4::toFixed(T Value, int FractionDigits,
+                             const PrintOptions &Options) {
+  StringSink Out;
+  formatFixedInto(Value, FractionDigits, Options, threadScratch(), Out);
+  return std::move(Out.Out);
+}
+
+template <typename T>
+std::string dragon4::toPrecision(T Value, int SignificantDigits,
+                                 const PrintOptions &Options) {
+  D4_ASSERT(SignificantDigits >= 1, "need at least one significant digit");
+  StringSink Out;
+  if (!putSpecial(Out, Value, [&] { putZero(Out, SignificantDigits - 1); })) {
+    DigitString Digits = fixedDigitsRelative(Value, SignificantDigits,
+                                             fixedOptionsFrom(Options));
+    render_detail::renderAutoInto(Out, Digits.Digits, Digits.K,
+                                  Digits.TrailingMarks, signBit(Value),
+                                  renderOptionsFrom(Options));
+  }
+  return std::move(Out.Out);
+}
+
+template <typename T>
+std::string dragon4::toExponential(T Value, int FractionDigits,
+                                   const PrintOptions &Options) {
+  D4_ASSERT(FractionDigits >= 0, "negative fraction-digit count");
+  StringSink Out;
+  if (!putSpecial(Out, Value, [&] {
+        putZero(Out, FractionDigits);
+        Out.put(Options.ExponentMarker);
+        Out.literal("+0");
+      })) {
+    DigitString Digits = fixedDigitsRelative(Value, FractionDigits + 1,
+                                             fixedOptionsFrom(Options));
+    render_detail::renderScientificInto(Out, Digits.Digits, Digits.K,
+                                        Digits.TrailingMarks, signBit(Value),
+                                        renderOptionsFrom(Options));
+  }
+  return std::move(Out.Out);
 }
 
 namespace dragon4::engine {
@@ -435,6 +435,24 @@ template size_t formatInto<Binary128, StreamSink>(Binary128,
                                                   const PrintOptions &,
                                                   Scratch &, StreamSink &);
 
+template size_t formatFixedInto<Binary16, BufferSink>(Binary16, int,
+                                                      const PrintOptions &,
+                                                      Scratch &, BufferSink &);
+template size_t formatFixedInto<float, BufferSink>(float, int,
+                                                   const PrintOptions &,
+                                                   Scratch &, BufferSink &);
+template size_t formatFixedInto<double, BufferSink>(double, int,
+                                                    const PrintOptions &,
+                                                    Scratch &, BufferSink &);
+template size_t formatFixedInto<long double, BufferSink>(long double, int,
+                                                         const PrintOptions &,
+                                                         Scratch &,
+                                                         BufferSink &);
+template size_t formatFixedInto<Binary128, BufferSink>(Binary128, int,
+                                                       const PrintOptions &,
+                                                       Scratch &,
+                                                       BufferSink &);
+
 template size_t format<Binary16>(Binary16, char *, size_t,
                                  const PrintOptions &, Scratch &);
 template size_t format<float>(float, char *, size_t, const PrintOptions &,
@@ -457,3 +475,36 @@ template size_t formatFixed<Binary128>(Binary128, int, char *, size_t,
                                        const PrintOptions &, Scratch &);
 
 } // namespace dragon4::engine
+
+namespace dragon4 {
+
+template std::string toShortest<Binary16>(Binary16, const PrintOptions &);
+template std::string toShortest<float>(float, const PrintOptions &);
+template std::string toShortest<double>(double, const PrintOptions &);
+template std::string toShortest<long double>(long double,
+                                             const PrintOptions &);
+template std::string toShortest<Binary128>(Binary128, const PrintOptions &);
+template std::string toFixed<Binary16>(Binary16, int, const PrintOptions &);
+template std::string toFixed<float>(float, int, const PrintOptions &);
+template std::string toFixed<double>(double, int, const PrintOptions &);
+template std::string toFixed<long double>(long double, int,
+                                          const PrintOptions &);
+template std::string toFixed<Binary128>(Binary128, int, const PrintOptions &);
+template std::string toPrecision<Binary16>(Binary16, int,
+                                           const PrintOptions &);
+template std::string toPrecision<float>(float, int, const PrintOptions &);
+template std::string toPrecision<double>(double, int, const PrintOptions &);
+template std::string toPrecision<long double>(long double, int,
+                                              const PrintOptions &);
+template std::string toPrecision<Binary128>(Binary128, int,
+                                            const PrintOptions &);
+template std::string toExponential<Binary16>(Binary16, int,
+                                             const PrintOptions &);
+template std::string toExponential<float>(float, int, const PrintOptions &);
+template std::string toExponential<double>(double, int, const PrintOptions &);
+template std::string toExponential<long double>(long double, int,
+                                                const PrintOptions &);
+template std::string toExponential<Binary128>(Binary128, int,
+                                              const PrintOptions &);
+
+} // namespace dragon4

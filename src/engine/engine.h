@@ -5,21 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batch conversion engine's single-value layer: a char-buffer API that
-/// bypasses std::string entirely.  Where toShortest() heap-allocates a
-/// string and fresh BigInt state per call, engine::format() writes into a
-/// caller-provided buffer and draws every intermediate from a reusable
-/// Scratch -- Grisu digits, loop state, and BigInt limbs all come from
-/// warm storage, so a warmed-up conversion performs zero heap allocations
-/// even when it falls back to the exact BigInt path.
+/// The conversion engine's single-value layer.  engine::format() writes
+/// into a caller-provided buffer and draws every intermediate from a
+/// reusable Scratch -- Ryu digits, loop state, and BigInt limbs all come
+/// from warm storage, so a warmed-up conversion performs zero heap
+/// allocations even on the exact BigInt path.  The string API
+/// (toShortest/toFixed in format/dtoa.h) runs the same bodies into a
+/// StringSink on the calling thread's threadScratch(); only the returned
+/// string is allocated.
 ///
 /// The API is format-generic: one template pipeline, explicitly
 /// instantiated for all five supported formats (Binary16, float, double,
-/// long double / x87 extended80, Binary128).  Formats whose significand
-/// exceeds 64 bits take the BigInt-mantissa path; the Grisu fast path is
-/// taken only for formats whose cached-power table is certified
-/// (FormatTraits<T>::FastPathCertified -- binary32/64 today), the rest are
-/// counted as fast-path-ineligible rather than silently special-cased.
+/// long double / x87 extended80, Binary128).  Shortest output climbs a
+/// two-rung ladder: Ryu for base-10 symmetric reader models on the
+/// formats it certifies (FormatTraits<T>::RyuCertified -- binary16/32/64),
+/// the exact Burger-Dybvig loop for everything else; formats whose
+/// significand exceeds 64 bits take its BigInt-mantissa variant.
 ///
 /// Truncation semantics (snprintf-like, minus the NUL): format() always
 /// returns the full length the rendering requires and writes at most
@@ -51,9 +52,22 @@ namespace dragon4::engine {
 /// past the capacity are dropped by the sink, never by the engine).  The
 /// public surfaces are instantiations of this one template: format() is
 /// formatInto over a BufferSink, RecordStream::push is formatInto over a
-/// StreamSink, and the StringTable batch path is format() per slot.
+/// StreamSink, toShortest is formatInto over a StringSink, and the
+/// StringTable batch path is format() per slot.
 template <typename T, typename W>
 size_t formatInto(T Value, const PrintOptions &Options, Scratch &S, W &Out);
+
+/// The writer-generic fixed-format body: exactly \p FractionDigits
+/// positions after the radix point, into any Sink, returning the
+/// characters the sink accepted.  formatFixed() is its BufferSink
+/// instantiation and toFixed its StringSink one.
+template <typename T, typename W>
+size_t formatFixedInto(T Value, int FractionDigits,
+                       const PrintOptions &Options, Scratch &S, W &Out);
+
+/// The calling thread's Scratch, constructed on first use: the workspace
+/// of the string API and of the C ABI's plain (scratch-less) entry points.
+Scratch &threadScratch();
 
 /// Shortest round-tripping rendering of \p Value (the buffer counterpart
 /// of toShortest): writes up to \p BufferSize bytes at \p Buffer and

@@ -7,8 +7,8 @@
 /// \file
 /// The engine's reusable workspace: a limb arena for every BigInt the
 /// conversion core touches, the digit-loop result whose digit storage is
-/// recycled across calls, a digit buffer for the Grisu fast path, and the
-/// per-thread counters block.  One Scratch belongs to one thread at a time;
+/// recycled across calls, a digit buffer for the Ryu rung, the fixed
+/// path's positional result, and the counters block.  One Scratch belongs to one thread at a time;
 /// engine::format installs its arena for the duration of a conversion and
 /// rewinds it afterwards, so after a warm-up call conversions perform zero
 /// heap allocations on the slow (BigInt) path.
@@ -16,7 +16,9 @@
 /// Thread-safety contract: a Scratch must not be shared between threads
 /// concurrently.  BatchEngine owns one Scratch per worker; single-threaded
 /// callers create one and keep it alive across calls (creating a fresh
-/// Scratch per call works but forfeits the zero-allocation property).
+/// Scratch per call works but forfeits the zero-allocation property), or
+/// use engine::threadScratch(), the per-thread Scratch behind the string
+/// API and the C ABI's plain entry points.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,7 +96,7 @@ private:
 
   LimbArena Arena;               ///< Backing store for all conversion BigInts.
   DigitLoopResult Loop;          ///< Slow-path loop state, storage recycled.
-  std::vector<uint8_t> FastDigits; ///< Grisu digit buffer, recycled.
+  std::vector<uint8_t> RyuDigits; ///< Ryu digit buffer, recycled.
   DigitString FixedDigits;       ///< Fixed-path positional result, recycled.
   EngineStats Stats;
   obs::ObsState Obs;               ///< Sampled-metrics shard + flight ring.

@@ -5,23 +5,31 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared 64-bit-significand arithmetic of the fast paths: the DiyFp
-/// value type (declared in grisu.h), normalization, and the rounded
-/// 128-bit product.  Error discipline: multiplying two values whose
-/// significands are exact yields at most 1/2 unit of error; each inexact
-/// input (e.g. a cached power of ten) contributes up to 1/2 more.
+/// The 64-bit-significand arithmetic of the fixed-precision fast path and
+/// the Grisu baseline: the DiyFp value type, normalization, the rounded
+/// 128-bit product, and the 64-bit cached powers of ten.  Error
+/// discipline: multiplying two values whose significands are exact yields
+/// at most 1/2 unit of error; each inexact input (e.g. a cached power of
+/// ten) contributes up to 1/2 more.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DRAGON4_FASTPATH_DIYFP_H
 #define DRAGON4_FASTPATH_DIYFP_H
 
-#include "fastpath/grisu.h"
 #include "support/checks.h"
 
 #include <bit>
+#include <cstdint>
 
 namespace dragon4 {
+
+/// A 64-bit-significand floating-point value F * 2^E ("do-it-yourself
+/// floating point" in Loitsch's terminology).
+struct DiyFp {
+  uint64_t F = 0;
+  int E = 0;
+};
 
 /// Rounded high 64 bits of the 128-bit product.
 inline DiyFp diyMultiply(DiyFp A, DiyFp B) {
@@ -36,6 +44,12 @@ inline DiyFp diyNormalize(DiyFp Value) {
   int Shift = std::countl_zero(Value.F);
   return DiyFp{Value.F << Shift, Value.E - Shift};
 }
+
+/// Returns 10^\p K10, K10 in [-342, 342], as a DiyFp with a normalized
+/// (top-bit-set) 64-bit significand rounded half-up from the exact power.
+/// Read from the compile-time powers-of-five table (parse/pow5_table.h):
+/// no cache, no allocation, no initialization.
+DiyFp cachedPowerOfTen(int K10);
 
 } // namespace dragon4
 

@@ -19,19 +19,26 @@
 /// then remove digits while the interval still spans a multiple of ten,
 /// and round the last kept digit with full knowledge of ties.
 ///
+/// The range checks are assertions, not fallbacks: they read only the
+/// exponent, and over every exponent of binary16/32/64 the shift J stays
+/// in [121, 125] and the table index in [-290, 325] (docs/fastpath.md
+/// has the derivation; tests/fastpath/ryu_test.cpp replays it at each
+/// exponent).
+///
 //===----------------------------------------------------------------------===//
 
 #include "fastpath/ryu.h"
 
-#include "fastpath/grisu.h"
-#include "fastpath/ryu_pow5.h"
 #include "format/render_core.h"
+#include "parse/pow5_table.h"
 #include "prof/phase.h"
 #include "support/checks.h"
 #include "support/testhooks.h"
 
 using namespace dragon4;
-using namespace dragon4::fastpath;
+using parse::Pow5Entry;
+using parse::pow5Entry;
+using parse::ryuPow5Bits;
 
 namespace dragon4::testhooks {
 
@@ -99,12 +106,10 @@ bool dragon4::ryuShortestInto(uint64_t F, int E, int Precision,
                               int &K) {
   D4_PROF_SPAN(RyuPath);
   D4_ASSERT(F != 0, "zero handled by the caller");
-
   // Certification envelope: 4F + 2 and the mulShift products must fit
   // (Precision + 3 + 64 <= 128 bits), and the paper's exactness theorem
-  // is proven for the binary64 parameter range.  Wider formats fall back.
-  if (Precision > 54)
-    return false;
+  // is proven for the binary64 parameter range.
+  D4_ASSERT(Precision <= 54, "Ryu serves formats up to binary64");
 
   // Scale by four: mm/mv/mp are the low neighbour midpoint, the value,
   // and the high neighbour midpoint as integers against e2 = E - 2.  The
@@ -135,12 +140,10 @@ bool dragon4::ryuShortestInto(uint64_t F, int E, int Precision,
       // Multiply by the 128-bit reciprocal of 5^q.  The entry is
       // ceil(2^(pow5bits(q) + 127) / 5^q); with j chosen below the
       // mulShift floor equals floor(x * 2^e2 / 10^q) exactly.
-      if (-Q < RyuSmallestPowerOfFive)
-        return false;
       const int J = -E2 + Q + ryuPow5Bits(Q) + 127;
-      if (J <= 64 || J >= 128)
-        return false;
-      const Pow5Entry &Inv = ryuPow5Entry(-Q);
+      D4_ASSERT(-Q >= parse::SmallestPowerOfFive && J > 64 && J < 128,
+                "Ryu reciprocal outside the certified range");
+      const Pow5Entry &Inv = pow5Entry(-Q);
       Vr = mulShift(Mv, Inv, J);
       Vp = mulShift(Mv + 2, Inv, J);
       Vm = mulShift(Mv - 1 - MmShift, Inv, J);
@@ -162,14 +165,12 @@ bool dragon4::ryuShortestInto(uint64_t F, int E, int Precision,
     const int Q = log10Pow5(-E2) - (-E2 > 1);
     E10 = Q + E2;
     const int I = -E2 - Q;
-    if (I > RyuLargestPowerOfFive)
-      return false;
     // Entry is the truncated (or, below 128 bits, exact) top 128 bits of
     // 5^i; with this j the mulShift floor equals floor(x * 5^i / 2^q).
     const int J = Q - (ryuPow5Bits(I) - 128);
-    if (J <= 64 || J >= 128)
-      return false;
-    const Pow5Entry &Pow = ryuPow5Entry(I);
+    D4_ASSERT(I <= parse::LargestPowerOfFive && J > 64 && J < 128,
+              "Ryu power outside the certified range");
+    const Pow5Entry &Pow = pow5Entry(I);
     Vr = mulShift(Mv, Pow, J);
     Vp = mulShift(Mv + 2, Pow, J);
     Vm = mulShift(Mv - 1 - MmShift, Pow, J);
@@ -266,42 +267,3 @@ bool dragon4::ryuShortestInto(uint64_t F, int E, int Precision,
   render_detail::storeDecimalDigits(Output, Length, Digits);
   return true;
 }
-
-namespace dragon4 {
-
-template <typename T>
-DigitString shortestDigitsLadder(T Value, const FreeFormatOptions &Options) {
-  using Traits = IeeeTraits<T>;
-  if constexpr (FormatTraits<T>::RyuCertified) {
-    Decomposed D = decompose(Value);
-    bool AcceptBounds = false;
-    if (ryuEligible(Options.Base, Options.Boundaries, (D.F & 1) == 0,
-                    AcceptBounds)) {
-      DigitString Out;
-      if (ryuShortestInto(D.F, D.E, Traits::Precision, Traits::MinExponent,
-                          AcceptBounds, Options.Ties, Out.Digits, Out.K))
-        return Out;
-    }
-    // Grisu3 rung: its conservative round-up model, where it applies.
-    if (Options.Base == 10 && Options.Ties == TieBreak::RoundUp &&
-        (Options.Boundaries == BoundaryMode::Conservative ||
-         (Options.Boundaries == BoundaryMode::NearestEven && (D.F & 1)))) {
-      if constexpr (FormatTraits<T>::FastPathCertified) {
-        DigitString Out;
-        if (grisuShortestInto(D.F, D.E, Traits::Precision,
-                              Traits::MinExponent, Out.Digits, Out.K))
-          return Out;
-      }
-    }
-  }
-  return shortestDigits(Value, Options);
-}
-
-template DigitString shortestDigitsLadder<Binary16>(Binary16,
-                                                    const FreeFormatOptions &);
-template DigitString shortestDigitsLadder<float>(float,
-                                                 const FreeFormatOptions &);
-template DigitString shortestDigitsLadder<double>(double,
-                                                  const FreeFormatOptions &);
-
-} // namespace dragon4

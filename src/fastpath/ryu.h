@@ -6,25 +6,24 @@
 ///
 /// \file
 /// A Ryu-style shortest-form converter after Adams, "Ryu: fast
-/// float-to-string conversion" (PLDI 2018) -- the front line of the
-/// library's fallback ladder, ahead of Grisu3 and the exact Burger-Dybvig
-/// loop.  Where Grisu3 runs an error analysis and *fails* on ~0.5% of
-/// inputs, Ryu computes the exact scaled interval (v-, v, v+) with one
-/// 128-bit cached power of five per conversion and tracks exactness
-/// explicitly, so it never needs to give up for in-range inputs: the only
-/// fallbacks are defensive range checks.
+/// float-to-string conversion" (PLDI 2018) -- the first of the library's
+/// two rungs; the exact Burger-Dybvig loop is the second.  Ryu computes
+/// the exact scaled interval (v-, v, v+) with one 128-bit cached power of
+/// five per conversion and tracks exactness explicitly, so it never gives
+/// up: every exponent of binary16/32/64 lands inside the certified table
+/// range (proven by enumeration in tests/fastpath/ryu_test.cpp), and the
+/// range checks are assertions.
 ///
 /// Faithful to this repository's spirit, the cached powers are not magic
-/// constants: ryu_pow5.h builds them at compile time with the same
-/// constexpr bignum evaluator as the parse table, and they are asserted
-/// bit for bit against the runtime BigInt stack.
+/// constants: parse/pow5_table.h builds them at compile time with a
+/// constexpr bignum evaluator shared with the Eisel-Lemire parser, and
+/// they are asserted bit for bit against the runtime BigInt stack.
 ///
-/// Unlike Grisu (hard-wired to the conservative reader with round-up
-/// ties), this implementation models every symmetric boundary semantics:
-/// the caller passes AcceptBounds (may the output land exactly on a
-/// neighbour midpoint?) and the writer-side TieBreak.  Asymmetric reader
-/// models (LowInclusive/HighInclusive) are not expressible and must take
-/// the exact path; see ryuEligible.
+/// This implementation models every symmetric boundary semantics: the
+/// caller passes AcceptBounds (may the output land exactly on a neighbour
+/// midpoint?) and the writer-side TieBreak.  Asymmetric reader models
+/// (LowInclusive/HighInclusive) are not expressible and take the exact
+/// loop; see ryuEligible.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,29 +59,15 @@ inline bool ryuEligible(unsigned Base, BoundaryMode Boundaries,
 
 /// Engine entry point: converts the positive value F * 2^E (a format with
 /// \p Precision <= 54 mantissa bits and minimum exponent \p MinExponent)
-/// to its shortest correctly rounded decimal form.  On success fills
-/// \p Digits (cleared first, capacity reused across calls) and sets \p K
-/// so that v = 0.d1...dn * 10^K, and returns true.  Returns false only
-/// when a defensive certification check fails (precision or cached-power
-/// range exceeded); the caller must then fall back to Grisu3/Dragon4.
-/// Allocates nothing once \p Digits is warm.
+/// to its shortest correctly rounded decimal form: fills \p Digits
+/// (cleared first, capacity reused across calls), sets \p K so that
+/// v = 0.d1...dn * 10^K, and returns true.  It never declines:
+/// the precision and cached-power range checks are assertions (a format
+/// wider than binary64 aborts), so callers need no fallback.  Allocates
+/// nothing once \p Digits is warm.
 bool ryuShortestInto(uint64_t F, int E, int Precision, int MinExponent,
                      bool AcceptBounds, TieBreak Ties,
                      std::vector<uint8_t> &Digits, int &K);
-
-/// Shortest base-10 digits of \p Value through the full fallback ladder:
-/// Ryu where the semantics are symmetric, Grisu3 where its conservative
-/// round-up model applies, the exact Burger-Dybvig loop otherwise.
-/// Result is always identical to shortestDigits(Value, Options).
-template <typename T>
-DigitString shortestDigitsLadder(T Value, const FreeFormatOptions &Options);
-
-extern template DigitString shortestDigitsLadder<Binary16>(
-    Binary16, const FreeFormatOptions &);
-extern template DigitString shortestDigitsLadder<float>(
-    float, const FreeFormatOptions &);
-extern template DigitString shortestDigitsLadder<double>(
-    double, const FreeFormatOptions &);
 
 } // namespace dragon4
 

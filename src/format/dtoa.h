@@ -5,9 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one-call public API most users want: value in, string out.  These
-/// functions screen the special values (zero, infinities, NaN), run the
-/// appropriate conversion from core/, and render the digits.
+/// The one-call public API most users want: value in, string out.
+/// toShortest and toFixed are StringSink instantiations of the engine's
+/// writer-generic bodies (engine::formatInto / formatFixedInto) on the
+/// calling thread's engine::threadScratch(), so they share the engine's
+/// ladder, options mapping, and special-value rendering byte for byte.
+/// toPrecision and toExponential run the relative-position fixed
+/// conversion through the same mapping.  All four are defined in
+/// engine/engine.cpp.
 ///
 ///   toShortest(0.3)            == "0.3"          (not "0.29999999999999999")
 ///   toFixed(1.0/3, 10)         == "0.3333333333"

@@ -8,8 +8,8 @@
 /// The per-format knobs the format-generic conversion pipeline needs beyond
 /// the numeric parameters in IeeeTraits: a runtime FormatId, whether the
 /// mantissa fits uint64_t (narrow Decomposed) or needs the BigInt view
-/// (DecomposedBig), whether the Grisu fast path is certified for the
-/// format, a uniform 128-bit raw-encoding view for tracing/type-erasure,
+/// (DecomposedBig), whether the Ryu rung is certified for the format, a
+/// uniform 128-bit raw-encoding view for tracing/type-erasure,
 /// and the worst-case shortest decimal digit count.
 ///
 /// This is the one header that knows about all five supported formats; the
@@ -52,12 +52,10 @@ constexpr int maxShortestDecimalDigits(int Precision) {
 ///   Name               formatIdName(Id), as a compile-time constant
 ///   WideMantissa       true when the significand exceeds 64 bits and the
 ///                      conversion must take the DecomposedBig path
-///   FastPathCertified  true when the Grisu cached-power table is certified
-///                      for the format's (Precision, MinExponent) range
 ///   RyuCertified       true when the Ryu 128-bit cached-power table and
 ///                      exactness analysis cover the format (Precision <=
 ///                      54 and exponents inside the [-342, 342] power
-///                      range); the front rung of the fallback ladder
+///                      range); the first of the two shortest rungs
 ///   MaxShortestDigits  ceil(p log10 2) + 1, the free-format digit bound
 ///   encodingBits       raw encoding as (Lo, Hi) uint64 halves; Hi is zero
 ///                      for formats of 64 bits or fewer
@@ -68,7 +66,6 @@ template <> struct FormatTraits<Binary16> {
   static constexpr FormatId Id = FormatId::Binary16;
   static constexpr const char *Name = "binary16";
   static constexpr bool WideMantissa = false;
-  static constexpr bool FastPathCertified = false;
   static constexpr bool RyuCertified = true;
   static constexpr int MaxShortestDigits =
       fp_detail::maxShortestDecimalDigits(IeeeTraits<Binary16>::Precision);
@@ -85,7 +82,6 @@ template <> struct FormatTraits<float> {
   static constexpr FormatId Id = FormatId::Binary32;
   static constexpr const char *Name = "binary32";
   static constexpr bool WideMantissa = false;
-  static constexpr bool FastPathCertified = true;
   static constexpr bool RyuCertified = true;
   static constexpr int MaxShortestDigits =
       fp_detail::maxShortestDecimalDigits(IeeeTraits<float>::Precision);
@@ -102,7 +98,6 @@ template <> struct FormatTraits<double> {
   static constexpr FormatId Id = FormatId::Binary64;
   static constexpr const char *Name = "binary64";
   static constexpr bool WideMantissa = false;
-  static constexpr bool FastPathCertified = true;
   static constexpr bool RyuCertified = true;
   static constexpr int MaxShortestDigits =
       fp_detail::maxShortestDecimalDigits(IeeeTraits<double>::Precision);
@@ -119,7 +114,6 @@ template <> struct FormatTraits<long double> {
   static constexpr FormatId Id = FormatId::Extended80;
   static constexpr const char *Name = "extended80";
   static constexpr bool WideMantissa = false;
-  static constexpr bool FastPathCertified = false;
   // 64-bit mantissa: 4F + 2 overflows the Ryu interval arithmetic.
   static constexpr bool RyuCertified = false;
   static constexpr int MaxShortestDigits =
@@ -148,7 +142,6 @@ template <> struct FormatTraits<Binary128> {
   static constexpr FormatId Id = FormatId::Binary128;
   static constexpr const char *Name = "binary128";
   static constexpr bool WideMantissa = true;
-  static constexpr bool FastPathCertified = false;
   static constexpr bool RyuCertified = false;
   static constexpr int MaxShortestDigits =
       fp_detail::maxShortestDecimalDigits(IeeeTraits<Binary128>::Precision);

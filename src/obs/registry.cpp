@@ -90,10 +90,6 @@ const char *dragon4::obs::counterName(Counter C) {
     return "dragon4_scale_branch_floatlog_total";
   case Counter::ScaleEstimate:
     return "dragon4_scale_branch_estimate_total";
-  case Counter::FastFailUncertified:
-    return "dragon4_fastpath_fail_uncertified_total";
-  case Counter::FastFailIneligible:
-    return "dragon4_fastpath_fail_ineligible_total";
   case Counter::DivModOps:
     return "dragon4_bigint_divmod_ops_total";
   case Counter::MulOps:
@@ -110,8 +106,6 @@ const char *dragon4::obs::pathClassName(PathClass P) {
   switch (P) {
   case PathClass::Ryu:
     return "ryu";
-  case PathClass::Grisu:
-    return "grisu";
   case PathClass::Dragon4:
     return "dragon4";
   case PathClass::Parse:
@@ -221,12 +215,7 @@ Snapshot dragon4::obs::makeSnapshot(const engine::EngineStats &Stats,
   Snap.addCounter("dragon4_conversions_total", Stats.Conversions);
   Snap.addCounter("dragon4_specials_total", Stats.Specials);
   Snap.addCounter("dragon4_ryu_hits_total", Stats.RyuHits);
-  Snap.addCounter("dragon4_ryu_fallback_total", Stats.RyuFallbacks);
-  Snap.addCounter("dragon4_fastpath_hits_total", Stats.FastPathHits);
-  Snap.addCounter("dragon4_fastpath_fails_total", Stats.FastPathFails);
   Snap.addCounter("dragon4_slowpath_direct_total", Stats.SlowPathDirect);
-  Snap.addCounter("dragon4_fastpath_ineligible_format_total",
-                  Stats.FastPathIneligibleFormat);
   Snap.addCounter("dragon4_truncated_total", Stats.Truncated);
   // Per-format conversion counts (only formats actually seen, so the
   // double-only exports stay unchanged byte for byte).
@@ -254,13 +243,6 @@ Snapshot dragon4::obs::makeSnapshot(const engine::EngineStats &Stats,
     Snap.addDerived("ryu_hit_rate",
                     static_cast<double>(Stats.RyuHits) /
                         static_cast<double>(Stats.Conversions));
-  if (Stats.Conversions + Stats.Specials > 0 && Stats.FastPathHits > 0) {
-    uint64_t Eligible = Stats.FastPathHits + Stats.FastPathFails;
-    if (Eligible)
-      Snap.addDerived("fastpath_hit_rate",
-                      static_cast<double>(Stats.FastPathHits) /
-                          static_cast<double>(Eligible));
-  }
   if (Stats.FastParseHits + Stats.FastParseFallbacks > 0)
     Snap.addDerived("fastparse_fallback_rate",
                     static_cast<double>(Stats.FastParseFallbacks) /

@@ -15,7 +15,6 @@
 ///   * the digit loop: digits emitted, increment applied;
 ///   * BigInt: divMod/mul call counts and operand limb sizes (the inner-
 ///     loop cost drivers of Tables 2 and 3);
-///   * the fast path: certification failure vs. ineligibility.
 ///
 /// The completed trace becomes a ConversionRecord in the owning thread's
 /// FlightRecorder -- a fixed-size ring whose last-N records are dumped when
@@ -44,10 +43,8 @@ namespace dragon4::obs {
 /// Which conversion path a record describes.
 enum class Path : uint8_t {
   Unknown,      ///< Trace never classified (e.g. captured outside engine).
-  Ryu,          ///< Ryu produced the result (the front line).
-  FastPath,     ///< Grisu certified the result.
-  SlowFallback, ///< Grisu failed; exact BigInt loop ran.
-  SlowDirect,   ///< Fast path ineligible; exact loop ran directly.
+  Ryu,          ///< Ryu produced the result (the first rung).
+  SlowDirect,   ///< Ryu ineligible (options or format); exact loop ran.
   Special,      ///< NaN / infinity / zero rendering.
   Fixed,        ///< Fixed-format conversion.
   VerifyCheck,  ///< A verification-harness oracle bundle over one encoding.
@@ -75,7 +72,6 @@ struct ConversionTrace {
   int32_t FinalK = 0;     ///< Scale factor the conversion settled on.
   ScaleBranch Branch = ScaleBranch::None;
   int8_t FixupTaken = -1; ///< 1 fixup fired, 0 estimate exact, -1 n/a.
-  uint8_t FastFail = 0;   ///< 0 none, 1 uncertified, 2 ineligible.
   bool Incremented = false; ///< Digit loop bumped its final digit.
   uint8_t OptionsBase = 0;  ///< PrintOptions::Base (0 = none recorded).
   uint8_t OptionsMode = 0;  ///< Packed boundary/tie knobs (exemplar.h).
@@ -139,9 +135,7 @@ inline ConversionTrace *activeTrace() { return ActiveTraceTls; }
 inline ConversionTrace *activeTrace() { return nullptr; }
 #endif
 
-/// RAII installer for the thread's active trace.  Installing null is the
-/// suppression idiom: code whose BigInt traffic must not be charged to the
-/// current conversion (power-cache warming) installs a null scope.
+/// RAII installer for the thread's active trace (null detaches it).
 class ActiveTraceScope {
 public:
 #if DRAGON4_OBS_ENABLED
@@ -158,16 +152,6 @@ private:
   ActiveTraceScope(const ActiveTraceScope &) = delete;
   ActiveTraceScope &operator=(const ActiveTraceScope &) = delete;
 };
-
-/// Statement macro declaring a suppression scope for the rest of the block.
-#if DRAGON4_OBS_ENABLED
-#define D4_OBS_SUPPRESS_TRACE()                                                \
-  ::dragon4::obs::ActiveTraceScope D4ObsSuppressScope_(nullptr)
-#else
-#define D4_OBS_SUPPRESS_TRACE()                                                \
-  do {                                                                         \
-  } while (0)
-#endif
 
 /// One archived conversion, fixed-size POD (the flight recorder is a ring
 /// of these and pushing one allocates nothing).
@@ -186,7 +170,6 @@ struct ConversionRecord {
   Path PathTaken = Path::Unknown;
   ScaleBranch Branch = ScaleBranch::None;
   int8_t FixupTaken = -1;
-  uint8_t FastFail = 0;
   bool Incremented = false;
   bool Truncated = false;
   bool Mismatch = false; ///< A verify oracle disagreed on this conversion.
@@ -202,7 +185,6 @@ struct ConversionRecord {
     MaxMulLimbs = T.MaxMulLimbs;
     Branch = T.Branch;
     FixupTaken = T.FixupTaken;
-    FastFail = T.FastFail;
     Incremented = T.Incremented;
   }
 

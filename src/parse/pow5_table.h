@@ -5,25 +5,34 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Eisel-Lemire significand table: for every decimal exponent q in
-/// [-342, 308] (the binary64 domain; binary32 uses a subrange), the top
-/// 128 bits of 5^q normalized so bit 127 is set.  The parser multiplies
-/// the 64-bit decimal significand by an entry to approximate w * 10^q --
-/// the 2^q part is tracked separately in the binary exponent.
+/// The library's one table of 128-bit powers of five: for every exponent
+/// q in [-342, 342], the top 128 bits of 5^q normalized so bit 127 is set.
+/// Three readers share it:
+///
+///   * the Eisel-Lemire parser multiplies the 64-bit decimal significand
+///     by an entry to approximate w * 10^q (the 2^q part is tracked in the
+///     binary exponent); its per-format clamps (ElParams) keep it inside
+///     [-342, 308];
+///   * the Ryu shortest writer (Adams, PLDI 2018) multiplies the scaled
+///     interval by 5^i up to i = 325 (printing a binary64 subnormal) and
+///     by the reciprocal side down to about -291 -- Ryu's POW5_SPLIT and
+///     POW5_INV_SPLIT at 128 bits, more than the 125/124 bits its
+///     correctness theorem needs for binary64;
+///   * fastpath/diyfp.cpp rounds an entry to the 64-bit cached powers of
+///     ten the fixed-precision fast path and the Grisu baseline use.
 ///
 /// Entry semantics:
 ///   q >= 0  truncation: Hi:Lo is the top 128 bits of the exact integer
 ///           5^q, so Hi:Lo <= 5^q / 2^(bitlen - 128) < Hi:Lo + 1.
-///   q <  0  reciprocal: Hi:Lo = ceil(2^z / 5^-q) with z chosen so the
-///           result lands in [2^127, 2^128).  The division is never exact
+///   q <  0  reciprocal: Hi:Lo = ceil(2^(bitlen(5^-q) + 127) / 5^-q),
+///           which lands in [2^127, 2^128).  The division is never exact
 ///           (powers of two share no factor with 5), so the ceiling is
 ///           floor + 1 and the entry over-estimates by less than one ulp.
 ///
-/// Unlike fastpath/grisu.cpp's cached powers (computed at runtime from
-/// BigInt on first use), this table is built entirely at compile time by a
-/// constexpr bignum evaluator below, so the parser has no initialization
-/// order, no locks, and no heap.  tests/parse/pow5_table_test.cpp asserts
-/// every entry against the independent bigint/power_cache.h values.
+/// The table is built entirely at compile time by the constexpr bignum
+/// evaluator below -- no initialization order, no locks, no heap.
+/// tests/parse/pow5_table_test.cpp asserts every entry against the
+/// independent bigint/power_cache.h values.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,11 +51,12 @@ struct Pow5Entry {
   uint64_t Lo = 0;
 };
 
-/// Table bounds: the decimal exponents beyond which every sub-2^64
-/// significand is decisively zero (below) or infinity (above) for
-/// binary64.  See eisel_lemire.h for the per-format clamps.
+/// Table bounds.  Below -342 every sub-2^64 decimal significand reads as
+/// binary64 zero (see eisel_lemire.h for the per-format clamps); the
+/// positive side must reach -MinExponent * log5(2) for Ryu (325 for
+/// binary64's e2 = -1076).  Symmetric for simplicity.
 inline constexpr int SmallestPowerOfFive = -342;
-inline constexpr int LargestPowerOfFive = 308;
+inline constexpr int LargestPowerOfFive = 342;
 inline constexpr int Pow5TableSize =
     LargestPowerOfFive - SmallestPowerOfFive + 1;
 
@@ -193,12 +203,23 @@ constexpr const Pow5Entry &pow5Entry(int64_t Q) {
   return Pow5Table[static_cast<size_t>(Q - SmallestPowerOfFive)];
 }
 
+/// bitlen(5^E): the number of bits in the exact power.  Ryu's pow5bits;
+/// the magic fraction overestimates log2(5) by < 2^-19, exact for
+/// E <= 3528.
+constexpr int ryuPow5Bits(int E) {
+  return static_cast<int>(
+             (static_cast<uint32_t>(E) * uint32_t(1217359)) >> 19) +
+         1;
+}
+
 // Spot anchors (full-range agreement with the BigInt-derived values is
 // asserted in tests/parse/pow5_table_test.cpp).
 static_assert(pow5Entry(0).Hi == 0x8000000000000000 && pow5Entry(0).Lo == 0);
 static_assert(pow5Entry(1).Hi == 0xa000000000000000 && pow5Entry(1).Lo == 0);
 static_assert(pow5Entry(-1).Hi == 0xcccccccccccccccc &&
               pow5Entry(-1).Lo == 0xcccccccccccccccd);
+static_assert(ryuPow5Bits(0) == 1 && ryuPow5Bits(1) == 3 &&
+              ryuPow5Bits(325) == 755);
 
 } // namespace dragon4::parse
 

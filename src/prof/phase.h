@@ -179,7 +179,8 @@ private:
 };
 
 /// Scoped span marker.  Construction opens the phase on the thread's
-/// active collector (no-op when none is installed); destruction closes it.
+/// active collector (no-op when none is installed); destruction closes it
+/// unless close() already has.
 class PhaseSpan {
 public:
 #if DRAGON4_OBS_ENABLED
@@ -187,9 +188,13 @@ public:
     if (C)
       Active = C->enter(P);
   }
-  ~PhaseSpan() {
+  ~PhaseSpan() { close(); }
+
+  /// Ends the span before scope exit (idempotent).
+  void close() {
     if (Active)
       C->exit();
+    Active = false;
   }
 
 private:
@@ -197,6 +202,7 @@ private:
   bool Active = false;
 #else
   explicit PhaseSpan(Phase) {}
+  void close() {}
 #endif
   PhaseSpan(const PhaseSpan &) = delete;
   PhaseSpan &operator=(const PhaseSpan &) = delete;

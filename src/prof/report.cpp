@@ -73,10 +73,10 @@ std::string dragon4::prof::renderCostReport(const obs::Registry &Reg) {
   // Table order: pipeline order rather than enum order, Total's
   // unattributed glue last so the coverage line reads naturally above it.
   static constexpr Phase Order[] = {
-      Phase::Decompose,  Phase::RyuPath,      Phase::FastPath,
-      Phase::Estimator,  Phase::ScaleSetup,   Phase::Fixup,
-      Phase::DigitLoop,  Phase::BigIntMul,    Phase::BigIntDivMod,
-      Phase::Render,     Phase::Overhead,     Phase::Total};
+      Phase::Decompose,  Phase::RyuPath,   Phase::Estimator,
+      Phase::ScaleSetup, Phase::Fixup,     Phase::DigitLoop,
+      Phase::BigIntMul,  Phase::BigIntDivMod, Phase::Render,
+      Phase::Overhead,   Phase::Total};
   for (Phase P : Order) {
     const obs::PhaseStats &S = Reg.phase(P);
     if (S.Spans == 0 && S.SelfTicksTotal == 0)

@@ -55,9 +55,9 @@ TEST(EngineAlloc, WarmShortestConversionsAllocateNothing) {
   eng::Scratch S;
   std::vector<double> Values = allocCorpus();
   char Buf[64];
-  // Default options ride the Ryu front line; the asymmetric LowInclusive
-  // reader model bypasses both fast rungs, so the exact BigInt path is
-  // held to the same zero-allocation bar.
+  // Default options ride the Ryu rung; the asymmetric LowInclusive reader
+  // model bypasses it, so the exact BigInt path is held to the same
+  // zero-allocation bar.
   PrintOptions ExactOnly;
   ExactOnly.Boundaries = BoundaryMode::LowInclusive;
 
@@ -86,7 +86,7 @@ TEST(EngineAlloc, WarmShortestConversionsAllocateNothing) {
   // ran: Ryu for the default pass, the exact BigInt path for the
   // LowInclusive pass.
   EXPECT_GT(S.stats().RyuHits, 0u);
-  EXPECT_GT(S.stats().slowPathRuns(), 0u);
+  EXPECT_GT(S.stats().SlowPathDirect, 0u);
   EXPECT_GT(S.stats().ArenaHighWaterBytes, 0u);
 }
 
@@ -151,14 +151,14 @@ TEST(EngineAlloc, ForcedSlowPathAllocatesNothingWhenWarm) {
   eng::Scratch S;
   std::vector<double> Values = allocCorpus();
   char Buf[64];
-  // Conservative boundaries with base 16 never touch the fast path.
+  // Base 16 never touches the Ryu rung.
   PrintOptions Options;
   Options.Base = 16;
   Options.ExponentMarker = '^';
 
   for (double V : Values)
     eng::format(V, Buf, sizeof(Buf), Options, S);
-  ASSERT_EQ(S.stats().FastPathHits, 0u);
+  ASSERT_EQ(S.stats().RyuHits, 0u);
   ASSERT_EQ(S.stats().SlowPathDirect, S.stats().Conversions);
 
   uint64_t NewBefore = GlobalNewCount.load(std::memory_order_relaxed);

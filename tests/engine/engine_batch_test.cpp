@@ -108,11 +108,11 @@ TEST(BatchEngine, FloatBatchDeterministicAndMatchesStringApi) {
       ASSERT_EQ(Table.view(I), Expected.view(I))
           << I << " with " << Threads << " threads";
   }
-  // binary32 is Ryu-certified: the front line must actually serve the
-  // batch, not silently fall back to Grisu or the exact loop.
+  // binary32 is Ryu-certified: the first rung must serve every finite
+  // non-zero value of the batch, none may reach the exact loop.
   EXPECT_GT(Single.stats().RyuHits, 0u);
-  EXPECT_EQ(Single.stats().RyuFallbacks, 0u);
-  EXPECT_EQ(Single.stats().FastPathIneligibleFormat, 0u);
+  EXPECT_EQ(Single.stats().RyuHits, Single.stats().Conversions);
+  EXPECT_EQ(Single.stats().SlowPathDirect, 0u);
 }
 
 TEST(BatchEngine, HalfBatchDeterministicOverWholeFormat) {
@@ -126,14 +126,10 @@ TEST(BatchEngine, HalfBatchDeterministicOverWholeFormat) {
   ASSERT_EQ(Table.size(), Expected.size());
   for (size_t I = 0; I < Values.size(); ++I)
     ASSERT_EQ(Table.view(I), Expected.view(I)) << "encoding " << I;
-  // binary16 has no certified Grisu table, but Ryu's 128-bit powers cover
-  // it: every finite non-zero value must be served by the front line, so
-  // neither the Grisu counters nor the format-ineligible tally may move.
+  // Ryu's 128-bit powers cover binary16: every finite non-zero value must
+  // be served by the first rung, so the exact loop never runs.
   EXPECT_EQ(Single.stats().RyuHits, Single.stats().Conversions);
-  EXPECT_EQ(Single.stats().RyuFallbacks, 0u);
-  EXPECT_EQ(Single.stats().FastPathHits, 0u);
-  EXPECT_EQ(Single.stats().FastPathFails, 0u);
-  EXPECT_EQ(Single.stats().FastPathIneligibleFormat, 0u);
+  EXPECT_EQ(Single.stats().SlowPathDirect, 0u);
   EXPECT_EQ(Single.stats().FormatConversions[int(FormatId::Binary16)],
             Single.stats().Conversions);
 }
@@ -216,8 +212,7 @@ TEST(BatchEngine, StatsCoverEveryValueExactlyOnce) {
   EXPECT_EQ(Stats.BatchValues, Values.size());
   EXPECT_EQ(Stats.Conversions + Stats.Specials, Values.size());
   EXPECT_GT(Stats.Specials, 0u);
-  EXPECT_EQ(Stats.RyuHits + Stats.FastPathHits + Stats.slowPathRuns(),
-            Stats.Conversions);
+  EXPECT_EQ(Stats.RyuHits + Stats.SlowPathDirect, Stats.Conversions);
   EXPECT_GT(Stats.RyuHits, 0u);
   EXPECT_EQ(Stats.FormatConversions[int(FormatId::Binary64)],
             Stats.Conversions);

@@ -160,9 +160,9 @@ TEST(EngineFormat, StatsAccounting) {
   std::vector<double> Values = randomBitsDoubles(500, 0xd1a60407);
   for (double V : Values)
     eng::format(V, Buf, sizeof(Buf), PrintOptions{}, S);
-  // The asymmetric LowInclusive reader model bypasses both fast rungs
-  // (Ryu needs symmetric bounds, Grisu needs Conservative/NearestEven),
-  // so a second pass populates the exact-path side of the accounting.
+  // The asymmetric LowInclusive reader model bypasses Ryu (it needs
+  // symmetric bounds), so a second pass populates the exact-path side of
+  // the accounting.
   PrintOptions ExactOnly;
   ExactOnly.Boundaries = BoundaryMode::LowInclusive;
   for (double V : Values)
@@ -171,20 +171,18 @@ TEST(EngineFormat, StatsAccounting) {
   const eng::EngineStats &Stats = S.stats();
   EXPECT_EQ(Stats.Specials, 3u);
   EXPECT_EQ(Stats.Conversions, 2 * Values.size());
-  EXPECT_EQ(Stats.RyuHits + Stats.FastPathHits + Stats.slowPathRuns(),
-            2 * Values.size());
-  // Default options all land on the Ryu front line (it certifies every
-  // binary64 conversion); the LowInclusive pass all lands on the exact
-  // loop, so both sides of the split must be fully populated.
+  EXPECT_EQ(Stats.RyuHits + Stats.SlowPathDirect, 2 * Values.size());
+  // Default options all land on the Ryu rung (it certifies every binary64
+  // conversion); the LowInclusive pass all lands on the exact loop, so
+  // both sides of the split must be fully populated.
   EXPECT_EQ(Stats.RyuHits, Values.size());
-  EXPECT_EQ(Stats.RyuFallbacks, 0u);
   EXPECT_EQ(Stats.SlowPathDirect, Values.size());
 
   // The histogram covers exactly the slow-path runs.
   uint64_t HistogramTotal = 0;
   for (uint64_t Bucket : Stats.SlowDigitLength)
     HistogramTotal += Bucket;
-  EXPECT_EQ(HistogramTotal, Stats.slowPathRuns());
+  EXPECT_EQ(HistogramTotal, Stats.SlowPathDirect);
 
   // Truncation is counted (and only then).
   EXPECT_EQ(Stats.Truncated, 0u);

@@ -89,15 +89,12 @@ TEST(EngineMultiFormat, Binary16ExhaustiveMatchesToShortest) {
     ASSERT_EQ(viaBoundBuffer(V, PrintOptions{}, S), toShortest(V))
         << "encoding 0x" << std::hex << Bits;
   }
-  // The sweep covered finite values and specials; binary16 has no
-  // certified Grisu table, but the Ryu front line certifies every
-  // conversion, so nothing reaches the exact loop.
+  // The sweep covered finite values and specials; the Ryu rung certifies
+  // every binary16 conversion, so nothing reaches the exact loop.
   EXPECT_GT(S.stats().Conversions, 0u);
   EXPECT_GT(S.stats().Specials, 0u);
   EXPECT_EQ(S.stats().RyuHits, S.stats().Conversions);
-  EXPECT_EQ(S.stats().RyuFallbacks, 0u);
-  EXPECT_EQ(S.stats().FastPathHits, 0u);
-  EXPECT_EQ(S.stats().FastPathIneligibleFormat, 0u);
+  EXPECT_EQ(S.stats().SlowPathDirect, 0u);
 }
 
 TEST(EngineMultiFormat, Binary32StratifiedMatchesToShortest) {

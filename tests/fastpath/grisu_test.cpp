@@ -5,16 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Grisu3 fast path: the runtime-derived power cache against the
-/// exact bignum powers, agreement with the exact Burger-Dybvig algorithm
-/// on every success, the fallback plumbing, and the success rate.
+/// The Grisu3 baseline (src/baselines/grisu.h): the table-backed 64-bit
+/// powers of ten against an independent BigInt derivation, agreement with
+/// the exact Burger-Dybvig algorithm on every success, the fallback
+/// plumbing, and the success rate.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "fastpath/grisu.h"
+#include "baselines/grisu.h"
 
 #include "bigint/power_cache.h"
 #include "core/free_format.h"
+#include "fastpath/diyfp.h"
+#include "parse/pow5_table.h"
 #include "reader/reader.h"
 #include "testgen/random_floats.h"
 #include "testgen/schryer.h"
@@ -31,30 +34,55 @@ DigitString exactConservative(uint64_t F, int E, int P, int MinE) {
   return freeFormatDigits(F, E, P, MinE, Options);
 }
 
-TEST(GrisuCache, MatchesExactPowersWithinOneUnit) {
-  // The cached significand must be within one unit in the last place of
-  // the exact power: (F-1)*2^E <= 10^K <= (F+1)*2^E, checked with exact
-  // integers on both sides.
-  for (int K : {-340, -27, -1, 0, 1, 7, 27, 300}) {
-    DiyFp Cached = cachedPowerOfTen(K);
-    EXPECT_EQ(Cached.F >> 63, 1u) << K; // Normalized.
+/// The reference 10^K10: the exact BigInt power (a 128-plus-bit division
+/// for negative K10), rounded half-up to a normalized 64-bit significand.
+/// Shares no code with cachedPowerOfTen, which reads the compile-time
+/// powers-of-five table.
+DiyFp bigIntPowerOfTen(int K10) {
+  if (K10 >= 0) {
+    const BigInt &Exact = cachedPow(10, static_cast<unsigned>(K10));
+    int Bits = static_cast<int>(Exact.bitLength());
+    if (Bits <= 64)
+      return diyNormalize(DiyFp{Exact.toUint64(), 0});
+    BigInt Top = Exact;
+    Top >>= static_cast<size_t>(Bits - 64);
+    uint64_t F = Top.toUint64();
+    int E = Bits - 64;
+    if (Exact.testBit(static_cast<size_t>(Bits - 65)) && ++F == 0) {
+      F = uint64_t(1) << 63; // Carried out of 64 bits.
+      E += 1;
+    }
+    return DiyFp{F, E};
+  }
+  // 10^-n = 2^-(Bits+63) * (2^(Bits+63) / 10^n), quotient in (2^63, 2^64].
+  const BigInt &P = cachedPow(10, static_cast<unsigned>(-K10));
+  int Bits = static_cast<int>(P.bitLength());
+  BigInt Numerator(uint64_t(1));
+  Numerator <<= static_cast<size_t>(Bits + 63);
+  BigInt Q, R;
+  BigInt::divMod(Numerator, P, Q, R);
+  BigInt Doubled = R;
+  Doubled.mulSmall(2);
+  if (Doubled >= P)
+    Q.addSmall(1);
+  int E = -(Bits + 63);
+  if (Q.bitLength() > 64) {
+    Q >>= 1; // Rounding reached 2^64: drop the (zero) low bit.
+    E += 1;
+  }
+  return diyNormalize(DiyFp{Q.toUint64(), E});
+}
 
-    // Scale both sides so every quantity is a non-negative integer:
-    //   LhsNum / LhsDen ~ 10^K, window [(F-1), (F+1)] * 2^E.
-    BigInt PowerNum(uint64_t(1)), PowerDen(uint64_t(1));
-    if (K >= 0)
-      PowerNum = cachedPow(10, static_cast<unsigned>(K));
-    else
-      PowerDen = cachedPow(10, static_cast<unsigned>(-K));
-    BigInt WindowLow(Cached.F - 1), WindowHigh(Cached.F + 1);
-    BigInt ScaleNum(uint64_t(1)), ScaleDen(uint64_t(1));
-    if (Cached.E >= 0)
-      ScaleNum <<= static_cast<size_t>(Cached.E);
-    else
-      ScaleDen <<= static_cast<size_t>(-Cached.E);
-    // WindowLow*Scale <= Power  <=>  WindowLow*ScaleNum*PowerDen <= ...
-    EXPECT_LE(WindowLow * ScaleNum * PowerDen, PowerNum * ScaleDen) << K;
-    EXPECT_GE(WindowHigh * ScaleNum * PowerDen, PowerNum * ScaleDen) << K;
+TEST(GrisuCache, MatchesExactPowersWithinOneUnit) {
+  // Bit-exact, not merely within one unit: every power the table covers
+  // must equal the BigInt derivation's half-up rounding.
+  for (int K = parse::SmallestPowerOfFive; K <= parse::LargestPowerOfFive;
+       ++K) {
+    DiyFp Cached = cachedPowerOfTen(K);
+    DiyFp Exact = bigIntPowerOfTen(K);
+    EXPECT_EQ(Cached.F >> 63, 1u) << K; // Normalized.
+    EXPECT_EQ(Cached.F, Exact.F) << "10^" << K;
+    EXPECT_EQ(Cached.E, Exact.E) << "10^" << K;
   }
 }
 

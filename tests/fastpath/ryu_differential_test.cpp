@@ -5,21 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Three-way differential test: Ryu vs Grisu3 vs the exact Burger-Dybvig
-/// loop on the same decomposed inputs.  The three implementations share no
-/// arithmetic (128-bit cached powers of five / 64-bit DiyFp error analysis
-/// / exact bignums), so byte-identical agreement across a hostile input
-/// set -- deterministic random bit patterns, binade boundaries, powers of
-/// two and ten, pinned hard cases from the literature -- is strong
-/// evidence all three are right.  Grisu is consulted under its own model
+/// Three-way differential test: Ryu vs the Grisu3 baseline vs the exact
+/// Burger-Dybvig loop on the same decomposed inputs.  The three share no
+/// digit-generation arithmetic (exact 128-bit interval products / 64-bit
+/// DiyFp error analysis / exact bignums; the powers of five both fast
+/// paths read are checked bit for bit against BigInt in
+/// pow5_table_test.cpp and grisu_test.cpp), so byte-identical agreement
+/// across a hostile input set -- deterministic random bit patterns, binade
+/// boundaries, powers of two and ten, pinned hard cases from the
+/// literature -- is strong evidence all three are right.  Grisu is consulted under its own model
 /// (conservative boundaries, round-up ties) and may decline ~0.5% of
 /// inputs; Ryu and Dragon4 must agree on every input, under both the
 /// conservative and the nearest-even reader.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "baselines/grisu.h"
 #include "core/free_format.h"
-#include "fastpath/grisu.h"
 #include "fastpath/ryu.h"
 #include "fp/ieee_traits.h"
 

@@ -5,19 +5,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Ryu fast path against the exact Burger-Dybvig loop.  binary16 is
-/// small enough to sweep the full encoding space under the whole symmetric
+/// The Ryu rung against the exact Burger-Dybvig loop.  binary16 is small
+/// enough to sweep the full encoding space under the whole symmetric
 /// options matrix (three boundary modes x three tie breaks); binary32 gets
-/// a strided sweep.  Every successful Ryu conversion must be byte-identical
-/// to the exact algorithm, and -- asserted separately so a correctness
-/// regression and a minimality regression fail with different messages --
-/// never longer than the Dragon4 output.
+/// a strided sweep.  Every Ryu conversion must be byte-identical to the
+/// exact algorithm, and -- asserted separately so a correctness regression
+/// and a minimality regression fail with different messages -- never
+/// longer than the Dragon4 output.  Ryu's range checks read only the
+/// exponent, so one conversion per exponent of each certified format
+/// proves they can never fire.  The RyuLadder tests hold the string API's
+/// two-rung ladder to the exact loop.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "fastpath/ryu.h"
 
 #include "core/free_format.h"
+#include "format/dtoa.h"
+#include "format/render.h"
 #include "fp/binary16.h"
 #include "fp/ieee_traits.h"
 
@@ -178,7 +183,7 @@ TEST(RyuBinary32, StridedMatchesExact) {
 }
 
 /// Asymmetric reader models cannot be expressed by Ryu's AcceptBounds
-/// flag and must report ineligible (the engine then takes Grisu/Dragon4).
+/// flag and must report ineligible (the engine then takes the exact loop).
 TEST(RyuEligibility, AsymmetricBoundariesRejected) {
   bool AcceptBounds = false;
   EXPECT_FALSE(
@@ -216,25 +221,62 @@ TEST(RyuEligibility, AcceptBoundsResolution) {
   EXPECT_FALSE(AcceptBounds);
 }
 
-/// The ladder wrapper must equal plain shortestDigits for every finite
-/// binary16 encoding under the default options (the path the engine and
-/// toShortest take).
+/// Ryu's range checks depend only on the exponent E of v = F * 2^E, so
+/// converting one mantissa per exponent reaches every shift and table
+/// index the format can produce.  At each exponent of the format: the
+/// binade-boundary mantissa 2^(p-1) (the halved lower gap), the largest
+/// mantissa, and F = 1 at MinExponent (the smallest subnormal), under both
+/// AcceptBounds values.  Every call must succeed (an out-of-range check
+/// would abort) and equal the exact loop under the matching reader model.
+template <typename T> void checkEveryExponent() {
+  using Traits = IeeeTraits<T>;
+  constexpr int P = Traits::Precision;
+  std::vector<uint8_t> Digits;
+  for (int E = Traits::MinExponent; E <= Traits::MaxExponent; ++E) {
+    std::vector<uint64_t> Mantissas = {uint64_t(1) << (P - 1),
+                                       (uint64_t(1) << P) - 1};
+    if (E == Traits::MinExponent)
+      Mantissas.push_back(1);
+    for (uint64_t F : Mantissas) {
+      for (bool AcceptBounds : {false, true}) {
+        FreeFormatOptions Options;
+        Options.Boundaries = AcceptBounds ? BoundaryMode::BothInclusive
+                                          : BoundaryMode::Conservative;
+        int K = 0;
+        ASSERT_TRUE(ryuShortestInto(F, E, P, Traits::MinExponent,
+                                    AcceptBounds, Options.Ties, Digits, K))
+            << "F " << F << " E " << E;
+        DigitString Exact =
+            freeFormatDigits(F, E, P, Traits::MinExponent, Options);
+        ASSERT_EQ(Digits, Exact.Digits) << "F " << F << " E " << E;
+        ASSERT_EQ(K, Exact.K) << "F " << F << " E " << E;
+      }
+    }
+  }
+}
+
+TEST(RyuExponents, EveryExponentOfEveryCertifiedFormatConverts) {
+  checkEveryExponent<Binary16>();
+  checkEveryExponent<float>();
+  checkEveryExponent<double>();
+}
+
+/// toShortest must render exactly the exact loop's digits for every finite
+/// binary16 encoding under the default options.
 TEST(RyuLadder, Binary16FullSpaceEqualsExact) {
   for (uint32_t Bits = 0; Bits <= 0xffff; ++Bits) {
     Binary16 Value = Binary16::fromBits(static_cast<uint16_t>(Bits));
     FpClass Class = classify(Value);
     if (Class != FpClass::Normal && Class != FpClass::Subnormal)
       continue;
-    FreeFormatOptions Options;
-    DigitString Ladder = shortestDigitsLadder(Value, Options);
-    DigitString Exact = shortestDigits(Value, Options);
-    ASSERT_EQ(Ladder, Exact) << "bits 0x" << std::hex << Bits;
+    std::string Exact = renderAuto(shortestDigits(Value), signBit(Value));
+    ASSERT_EQ(toShortest(Value), Exact) << "bits 0x" << std::hex << Bits;
   }
 }
 
-/// Ladder vs exact over the full options matrix, strided so the test stays
-/// cheap: the per-combo behavior is already swept exhaustively above; this
-/// guards the dispatch logic (Ryu rung taken, Grisu rung taken, fallback).
+/// toShortest vs the exact loop over the full symmetric options matrix,
+/// strided so the test stays cheap: the per-combo behavior is already
+/// swept exhaustively above; this guards the engine's rung dispatch.
 TEST(RyuLadder, Binary16StridedAllSymmetricOptions) {
   for (uint32_t Bits = 1; Bits <= 0xffff; Bits += 7) {
     Binary16 Value = Binary16::fromBits(static_cast<uint16_t>(Bits));
@@ -242,19 +284,22 @@ TEST(RyuLadder, Binary16StridedAllSymmetricOptions) {
     if (Class != FpClass::Normal && Class != FpClass::Subnormal)
       continue;
     for (const OptionCombo &Combo : SymmetricCombos) {
-      FreeFormatOptions Options;
+      PrintOptions Options;
       Options.Boundaries = Combo.Boundaries;
       Options.Ties = Combo.Ties;
-      DigitString Ladder = shortestDigitsLadder(Value, Options);
-      DigitString Exact = shortestDigits(Value, Options);
-      ASSERT_EQ(Ladder, Exact)
+      FreeFormatOptions Free;
+      Free.Boundaries = Combo.Boundaries;
+      Free.Ties = Combo.Ties;
+      std::string Exact =
+          renderAuto(shortestDigits(Value, Free), signBit(Value));
+      ASSERT_EQ(toShortest(Value, Options), Exact)
           << "bits 0x" << std::hex << Bits << " combo " << comboName(Combo);
     }
   }
 }
 
-/// Asymmetric boundary modes route around Ryu and Grisu entirely; the
-/// ladder must still give the exact answer.
+/// Asymmetric boundary modes route around Ryu to the exact loop; the
+/// string API must still give the exact answer.
 TEST(RyuLadder, AsymmetricModesFallThrough) {
   for (uint32_t Bits = 1; Bits <= 0xffff; Bits += 31) {
     Binary16 Value = Binary16::fromBits(static_cast<uint16_t>(Bits));
@@ -263,11 +308,14 @@ TEST(RyuLadder, AsymmetricModesFallThrough) {
       continue;
     for (BoundaryMode Mode :
          {BoundaryMode::LowInclusive, BoundaryMode::HighInclusive}) {
-      FreeFormatOptions Options;
+      PrintOptions Options;
       Options.Boundaries = Mode;
-      DigitString Ladder = shortestDigitsLadder(Value, Options);
-      DigitString Exact = shortestDigits(Value, Options);
-      ASSERT_EQ(Ladder, Exact) << "bits 0x" << std::hex << Bits;
+      FreeFormatOptions Free;
+      Free.Boundaries = Mode;
+      std::string Exact =
+          renderAuto(shortestDigits(Value, Free), signBit(Value));
+      ASSERT_EQ(toShortest(Value, Options), Exact)
+          << "bits 0x" << std::hex << Bits;
     }
   }
 }

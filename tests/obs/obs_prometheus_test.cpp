@@ -200,8 +200,7 @@ Snapshot hostileSnapshot() {
   engine::EngineStats Stats;
   Stats.Conversions = 12345;
   Stats.RyuHits = 12000;
-  Stats.FastPathHits = 300;
-  Stats.FastPathFails = 45;
+  Stats.SlowPathDirect = 345;
   Stats.Batches = 3;
   Stats.BatchValues = 12345;
   Stats.BatchNanos = 98765432;

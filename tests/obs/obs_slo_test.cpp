@@ -100,7 +100,7 @@ TEST(SloEvaluate, BreachAndRecovery) {
 
 TEST(SloEvaluate, NoDataIsNotABreach) {
   SloSet Set;
-  auto Rule = SloSet::parse("quiet:dragon4_latency_ns{path=grisu}:p99:10");
+  auto Rule = SloSet::parse("quiet:dragon4_latency_ns{path=parse}:p99:10");
   ASSERT_TRUE(Rule.has_value());
   Set.add(*Rule);
 

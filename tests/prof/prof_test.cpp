@@ -186,7 +186,7 @@ struct ConfigGuard {
 /// Runs a Schryer subsample through the engine at SampleEvery = 1 and
 /// returns the scratch whose registry carries the phase attribution.
 /// Each value converts twice -- default options ride the Ryu front line,
-/// the asymmetric LowInclusive reader model bypasses both fast rungs --
+/// the asymmetric LowInclusive reader model bypasses Ryu --
 /// so every phase of the ladder records spans (mirrors prof_report).
 void runProfiledWorkload(engine::Scratch &S) {
   char Buf[64];

@@ -79,7 +79,7 @@ RATIO_SKEW_FLOOR = 0.90
 
 # Pipeline order for the phase table (matches src/prof/phases.h).
 PHASE_ORDER = [
-    "total", "decompose", "ryu_path", "fast_path", "estimator",
+    "total", "decompose", "ryu_path", "estimator",
     "scale_setup", "fixup", "digit_loop", "bigint_mul", "bigint_divmod",
     "render", "overhead",
 ]

@@ -58,11 +58,7 @@ struct Frame {
   double Conversions = 0;
   double Specials = 0;
   double RyuHits = 0;
-  double FastPathHits = 0;
-  double SlowRuns = 0;
-  double FastPathFails = 0;
   double SlowPathDirect = 0;
-  double IneligibleFormat = 0;
   double BatchValues = 0;
   double BatchNanos = 0;
   double ParseHits = 0;
@@ -110,14 +106,8 @@ Frame decode(const std::string &Body) {
   F.Conversions = counterOf(*Doc, "counters", "dragon4_conversions_total");
   F.Specials = counterOf(*Doc, "counters", "dragon4_specials_total");
   F.RyuHits = counterOf(*Doc, "counters", "dragon4_ryu_hits_total");
-  F.FastPathHits = counterOf(*Doc, "counters", "dragon4_fastpath_hits_total");
-  F.FastPathFails =
-      counterOf(*Doc, "counters", "dragon4_fastpath_fails_total");
   F.SlowPathDirect =
       counterOf(*Doc, "counters", "dragon4_slowpath_direct_total");
-  F.IneligibleFormat =
-      counterOf(*Doc, "counters", "dragon4_fastpath_ineligible_format_total");
-  F.SlowRuns = F.FastPathFails + F.SlowPathDirect;
   F.BatchValues = counterOf(*Doc, "counters", "dragon4_batch_values_total");
   F.BatchNanos = counterOf(*Doc, "counters", "dragon4_batch_nanos_total");
   F.ParseHits = counterOf(*Doc, "counters", "dragon4_fastparse_hits_total");
@@ -263,14 +253,10 @@ void render(const Frame &F, const Frame &Prev, double DtSeconds,
   std::printf("conversions %-9s (%s/s scrape, %s/s window)   specials %s\n",
               human(F.Conversions).c_str(), human(ConvRate).c_str(),
               human(F.WindowConvPerSec).c_str(), human(F.Specials).c_str());
-  std::printf("paths: ryu %s (%s)  grisu %s (%s)  dragon4 %s (%s)  "
-              "no-table %s\n",
+  std::printf("paths: ryu %s (%s)  dragon4 %s (%s)\n",
               human(F.RyuHits).c_str(), pct(F.RyuHits, F.Conversions).c_str(),
-              human(F.FastPathHits).c_str(),
-              pct(F.FastPathHits, F.Conversions).c_str(),
-              human(F.SlowRuns).c_str(),
-              pct(F.SlowRuns, F.Conversions).c_str(),
-              human(F.IneligibleFormat).c_str());
+              human(F.SlowPathDirect).c_str(),
+              pct(F.SlowPathDirect, F.Conversions).c_str());
   double MeanNs = F.BatchValues > 0 ? F.BatchNanos / F.BatchValues : -1;
   std::printf("batch: %s values, %.0f ns/value cumulative, %s ns/value "
               "window\n",

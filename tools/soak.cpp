@@ -16,6 +16,10 @@
 ///   ./build/tools/soak [count=1000000] [seed=1]
 ///                      [--stats-json=FILE] [--trace=FILE] [--obs-sample=N]
 ///
+/// Every numeric argument is a decimal integer that must make up the whole
+/// token, and the count must be at least 1; anything else prints the usage
+/// and exits 2.
+///
 /// The telemetry flags mirror verify_exhaustive: --stats-json writes the
 /// dragon4.stats.v1 document, --trace writes Chrome trace_event JSON, and
 /// either one turns on 1-in-N conversion sampling (N from --obs-sample,
@@ -47,6 +51,7 @@
 #include "obs/live/slo.h"
 #include "svc/telemetry.h"
 
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -76,7 +81,7 @@ void checkValue(double V, Failure &Failures, engine::Scratch &Scratch) {
   if (!Back || *Back != V)
     Failures.note("round-trip", V, Text);
 
-  // 2. Grisu fast path agreement (conservative boundaries).
+  // 2. Grisu baseline agreement (conservative boundaries).
   FreeFormatOptions Conservative;
   Conservative.Boundaries = BoundaryMode::Conservative;
   DigitString Exact = shortestDigits(V, Conservative);
@@ -283,13 +288,32 @@ int runServe(const ServeOptions &Opt) {
   return Failures == 0 ? 0 : 1;
 }
 
+/// Parses all of \p Text as a decimal integer that fits \p Out.
+template <typename T> bool parseNumber(std::string_view Text, T &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
+  return Ec == std::errc() && Ptr == End;
+}
+
+int usage(const char *Problem, const char *Arg) {
+  std::fprintf(stderr,
+               "soak: %s %s\nusage: soak [count] [seed] "
+               "[--stats-json=FILE] [--trace=FILE] [--obs-sample=N]\n"
+               "       soak --serve[=PORT] [--serve-duration=SECONDS] "
+               "[--serve-tick-ms=N]\n"
+               "            [--slo=SPEC]... [--profile-hz=N] "
+               "[--port-file=FILE]\n",
+               Problem, Arg);
+  return 2;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
   size_t Count = 1000000;
   uint64_t Seed = 1;
   std::string StatsJsonPath, TracePath;
-  uint64_t ObsSample = 0;
+  uint32_t ObsSample = 0;
   bool Serve = false;
   ServeOptions ServeOpt;
   int Positional = 0;
@@ -300,16 +324,20 @@ int main(int Argc, char **Argv) {
     } else if (std::strncmp(A, "--trace=", 8) == 0) {
       TracePath = A + 8;
     } else if (std::strncmp(A, "--obs-sample=", 13) == 0) {
-      ObsSample = std::strtoull(A + 13, nullptr, 0);
+      if (!parseNumber(A + 13, ObsSample))
+        return usage("bad number in", A);
     } else if (std::strcmp(A, "--serve") == 0) {
       Serve = true;
     } else if (std::strncmp(A, "--serve=", 8) == 0) {
       Serve = true;
-      ServeOpt.Port = static_cast<uint16_t>(std::strtoul(A + 8, nullptr, 10));
+      if (!parseNumber(A + 8, ServeOpt.Port))
+        return usage("bad port in", A);
     } else if (std::strncmp(A, "--serve-duration=", 17) == 0) {
-      ServeOpt.DurationSeconds = std::strtoull(A + 17, nullptr, 10);
+      if (!parseNumber(A + 17, ServeOpt.DurationSeconds))
+        return usage("bad number in", A);
     } else if (std::strncmp(A, "--serve-tick-ms=", 16) == 0) {
-      ServeOpt.TickMillis = std::strtoull(A + 16, nullptr, 10);
+      if (!parseNumber(A + 16, ServeOpt.TickMillis))
+        return usage("bad number in", A);
       if (ServeOpt.TickMillis == 0)
         ServeOpt.TickMillis = 1;
     } else if (std::strncmp(A, "--slo=", 6) == 0) {
@@ -321,33 +349,29 @@ int main(int Argc, char **Argv) {
       }
       ServeOpt.Slos.push_back(*Rule);
     } else if (std::strncmp(A, "--profile-hz=", 13) == 0) {
-      ServeOpt.ProfileHz =
-          static_cast<uint32_t>(std::strtoul(A + 13, nullptr, 10));
+      if (!parseNumber(A + 13, ServeOpt.ProfileHz))
+        return usage("bad number in", A);
     } else if (std::strncmp(A, "--port-file=", 12) == 0) {
       ServeOpt.PortFile = A + 12;
     } else if (A[0] == '-') {
-      std::fprintf(stderr,
-                   "soak: unknown flag %s\nusage: soak [count] [seed] "
-                   "[--stats-json=FILE] [--trace=FILE] [--obs-sample=N]\n"
-                   "       soak --serve[=PORT] [--serve-duration=SECONDS] "
-                   "[--serve-tick-ms=N]\n"
-                   "            [--slo=SPEC]... [--profile-hz=N] "
-                   "[--port-file=FILE]\n",
-                   A);
-      return 2;
+      return usage("unknown flag", A);
     } else if (Positional == 0) {
-      Count = std::strtoull(A, nullptr, 10);
+      if (!parseNumber(A, Count) || Count == 0)
+        return usage("count must be a whole number >= 1, got", A);
+      ++Positional;
+    } else if (Positional == 1) {
+      if (!parseNumber(A, Seed))
+        return usage("seed must be a whole number, got", A);
       ++Positional;
     } else {
-      Seed = std::strtoull(A, nullptr, 10);
-      ++Positional;
+      return usage("unexpected argument", A);
     }
   }
 
   // Telemetry implies sampling; set the config before the Scratch exists
   // (its flight-recorder capacity is latched at construction).
   if (ObsSample)
-    obs::config().SampleEvery = static_cast<uint32_t>(ObsSample);
+    obs::config().SampleEvery = ObsSample;
   else if (!StatsJsonPath.empty() || !TracePath.empty())
     obs::config().SampleEvery = 1;
   obs::config().Trace = !TracePath.empty();

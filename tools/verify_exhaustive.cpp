@@ -378,15 +378,14 @@ int writeBenchReport(const Options &Opts, const SweepResult &Result,
     Report.derived("fastparse_fallback_rate",
                    static_cast<double>(Stats.FastParseFallbacks) / Decided);
   }
-  // Shortest-path outcome mix: which rung of the Ryu -> Grisu3 -> Dragon4
-  // ladder served the sweep's conversions.
-  if (Stats.RyuHits + Stats.RyuFallbacks > 0) {
-    double Attempted =
-        static_cast<double>(Stats.RyuHits + Stats.RyuFallbacks);
+  // Shortest-path outcome mix: which of the two rungs (Ryu, the exact
+  // loop) served the sweep's engine conversions.
+  if (Stats.Conversions > 0) {
     Report.context("ryu_hits", Stats.RyuHits);
-    Report.context("ryu_fallbacks", Stats.RyuFallbacks);
+    Report.context("exact_loop_runs", Stats.SlowPathDirect);
     Report.derived("ryu_hit_rate",
-                   static_cast<double>(Stats.RyuHits) / Attempted);
+                   static_cast<double>(Stats.RyuHits) /
+                       static_cast<double>(Stats.Conversions));
   }
   Report.derived("values_per_second",
                  Result.ElapsedSeconds > 0
@@ -548,14 +547,12 @@ int main(int Argc, char **Argv) {
     std::printf(" (%zu captured; raise --max-failures for more)",
                 Result.Failures.size());
   std::printf("\n");
-  if (Stats.RyuHits + Stats.RyuFallbacks > 0) {
-    double Attempted =
-        static_cast<double>(Stats.RyuHits + Stats.RyuFallbacks);
+  if (Stats.Conversions > 0)
     std::printf("ryu: %" PRIu64 " hit(s), %" PRIu64
-                " fallback(s) to Grisu3/Dragon4 (hit rate %.4f%%)\n",
-                Stats.RyuHits, Stats.RyuFallbacks,
-                100.0 * static_cast<double>(Stats.RyuHits) / Attempted);
-  }
+                " exact-loop run(s) (hit rate %.4f%%)\n",
+                Stats.RyuHits, Stats.SlowPathDirect,
+                100.0 * static_cast<double>(Stats.RyuHits) /
+                    static_cast<double>(Stats.Conversions));
   if (Stats.FastParseHits + Stats.FastParseFallbacks > 0) {
     double Decided =
         static_cast<double>(Stats.FastParseHits + Stats.FastParseFallbacks);
