@@ -247,18 +247,19 @@ size_t dragon4::engine::formatInto(T Value, const PrintOptions &Options,
   std::span<const uint8_t> Digits;
   int K = 0;
   // Two rungs: Ryu for base-10 symmetric reader models on binary16/32/64
-  // (it never refuses; see ryu.h), the exact loop for everything else.
-  // The RyuPath phase span lives inside ryuShortestInto.
+  // and on extended80 inside its exponent window, the exact loop for
+  // everything else -- including the rare extended80 product Ryu cannot
+  // certify (see ryu.h).  The RyuPath phase span lives inside
+  // ryuShortestInto.
   bool Ryu = false;
   if constexpr (!Format::WideMantissa && Format::RyuCertified) {
     bool AcceptBounds = false;
-    if (ryuEligible(Options.Base, Options.Boundaries, (D.F & 1) == 0,
-                    AcceptBounds)) {
-      ryuShortestInto(D.F, D.E, Traits::Precision, Traits::MinExponent,
-                      AcceptBounds, Options.Ties, ScratchAccess::ryuDigits(S),
-                      K);
-      Ryu = true;
-    }
+    if (D.E >= Format::RyuMinExponent && D.E <= Format::RyuMaxExponent &&
+        ryuEligible(Options.Base, Options.Boundaries, (D.F & 1) == 0,
+                    AcceptBounds))
+      Ryu = ryuShortestInto(D.F, D.E, Traits::Precision, Traits::MinExponent,
+                            AcceptBounds, Options.Ties,
+                            ScratchAccess::ryuDigits(S), K);
   }
   if (Ryu) {
     ++Stats.RyuHits;

@@ -18,8 +18,9 @@
 /// instantiated for all five supported formats (Binary16, float, double,
 /// long double / x87 extended80, Binary128).  Shortest output climbs a
 /// two-rung ladder: Ryu for base-10 symmetric reader models on the
-/// formats it certifies (FormatTraits<T>::RyuCertified -- binary16/32/64),
-/// the exact Burger-Dybvig loop for everything else; formats whose
+/// formats it serves (FormatTraits<T>::RyuCertified -- binary16/32/64,
+/// and extended80 inside its exponent window), the exact Burger-Dybvig
+/// loop for everything else; formats whose
 /// significand exceeds 64 bits take its BigInt-mantissa variant.
 ///
 /// Truncation semantics (snprintf-like, minus the NUL): format() always

@@ -8,8 +8,8 @@
 /// The per-format knobs the format-generic conversion pipeline needs beyond
 /// the numeric parameters in IeeeTraits: a runtime FormatId, whether the
 /// mantissa fits uint64_t (narrow Decomposed) or needs the BigInt view
-/// (DecomposedBig), whether the Ryu rung is certified for the format, a
-/// uniform 128-bit raw-encoding view for tracing/type-erasure,
+/// (DecomposedBig), whether the Ryu rung serves the format and over which
+/// exponents, a uniform 128-bit raw-encoding view for tracing/type-erasure,
 /// and the worst-case shortest decimal digit count.
 ///
 /// This is the one header that knows about all five supported formats; the
@@ -52,10 +52,14 @@ constexpr int maxShortestDecimalDigits(int Precision) {
 ///   Name               formatIdName(Id), as a compile-time constant
 ///   WideMantissa       true when the significand exceeds 64 bits and the
 ///                      conversion must take the DecomposedBig path
-///   RyuCertified       true when the Ryu 128-bit cached-power table and
-///                      exactness analysis cover the format (Precision <=
-///                      54 and exponents inside the [-342, 342] power
-///                      range); the first of the two shortest rungs
+///   RyuCertified       true when the Ryu rung serves the format (a
+///                      mantissa of at most 64 bits); the first of the
+///                      two shortest rungs
+///   RyuMinExponent,    the window of exponents E (v = F * 2^E) whose
+///   RyuMaxExponent     cached powers lie in the one [-342, 342] table:
+///                      every exponent of binary16/32/64, and [-1130,
+///                      1144] for extended80 (magnitudes 2^-1067 up to
+///                      2^1208).  Values outside take the exact loop.
 ///   MaxShortestDigits  ceil(p log10 2) + 1, the free-format digit bound
 ///   encodingBits       raw encoding as (Lo, Hi) uint64 halves; Hi is zero
 ///                      for formats of 64 bits or fewer
@@ -67,6 +71,8 @@ template <> struct FormatTraits<Binary16> {
   static constexpr const char *Name = "binary16";
   static constexpr bool WideMantissa = false;
   static constexpr bool RyuCertified = true;
+  static constexpr int RyuMinExponent = IeeeTraits<Binary16>::MinExponent;
+  static constexpr int RyuMaxExponent = IeeeTraits<Binary16>::MaxExponent;
   static constexpr int MaxShortestDigits =
       fp_detail::maxShortestDecimalDigits(IeeeTraits<Binary16>::Precision);
   static void encodingBits(Binary16 Value, uint64_t &Lo, uint64_t &Hi) {
@@ -83,6 +89,8 @@ template <> struct FormatTraits<float> {
   static constexpr const char *Name = "binary32";
   static constexpr bool WideMantissa = false;
   static constexpr bool RyuCertified = true;
+  static constexpr int RyuMinExponent = IeeeTraits<float>::MinExponent;
+  static constexpr int RyuMaxExponent = IeeeTraits<float>::MaxExponent;
   static constexpr int MaxShortestDigits =
       fp_detail::maxShortestDecimalDigits(IeeeTraits<float>::Precision);
   static void encodingBits(float Value, uint64_t &Lo, uint64_t &Hi) {
@@ -99,6 +107,8 @@ template <> struct FormatTraits<double> {
   static constexpr const char *Name = "binary64";
   static constexpr bool WideMantissa = false;
   static constexpr bool RyuCertified = true;
+  static constexpr int RyuMinExponent = IeeeTraits<double>::MinExponent;
+  static constexpr int RyuMaxExponent = IeeeTraits<double>::MaxExponent;
   static constexpr int MaxShortestDigits =
       fp_detail::maxShortestDecimalDigits(IeeeTraits<double>::Precision);
   static void encodingBits(double Value, uint64_t &Lo, uint64_t &Hi) {
@@ -114,8 +124,13 @@ template <> struct FormatTraits<long double> {
   static constexpr FormatId Id = FormatId::Extended80;
   static constexpr const char *Name = "extended80";
   static constexpr bool WideMantissa = false;
-  // 64-bit mantissa: 4F + 2 overflows the Ryu interval arithmetic.
-  static constexpr bool RyuCertified = false;
+  // 64-bit mantissa: 4F + 2 needs 66 bits, so Ryu runs on its 128-bit
+  // carrier.  The window is where Ryu's table index stays inside
+  // [-342, 342]; one exponent further either way reads 343 or -343
+  // (docs/fastpath.md).
+  static constexpr bool RyuCertified = true;
+  static constexpr int RyuMinExponent = -1130;
+  static constexpr int RyuMaxExponent = 1144;
   static constexpr int MaxShortestDigits =
       fp_detail::maxShortestDecimalDigits(IeeeTraits<long double>::Precision);
   // The x87 encoding occupies the low 10 bytes of the 16-byte storage; the

@@ -95,7 +95,10 @@ bool parseHexBits(std::string_view Text, FloatFormat Format, BitPattern &Out) {
     Hi = (Hi << 4) | (Lo >> 60);
     Lo = (Lo << 4) | Nibble;
   }
-  if (Format != FloatFormat::Binary128 && Hi != 0)
+  // Extended80 keeps sign and exponent in the low 16 bits of Hi.
+  if (Format == FloatFormat::Extended80 ? Hi > 0xFFFF
+                                        : Format != FloatFormat::Binary128 &&
+                                              Hi != 0)
     return false;
   Out.Format = Format;
   Out.Hi = Hi;
@@ -185,6 +188,9 @@ Verdict dragon4::verify::replayRecord(const CorpusRecord &Record,
 namespace {
 
 /// Per-format field widths, mirrored from the encoding layouts.
+/// Extended80's stored field is the 63-bit fraction; its explicit integer
+/// bit follows the exponent (set exactly when it is nonzero), so shrink
+/// moves only ever build canonical encodings.
 struct FieldGeometry {
   int StoredBits;
   int ExponentBits;
@@ -200,6 +206,8 @@ FieldGeometry fieldGeometry(FloatFormat Format) {
     return {23, 8};
   case FloatFormat::Binary64:
     return {52, 11};
+  case FloatFormat::Extended80:
+    return {63, 15};
   case FloatFormat::Binary128:
     return {112, 15};
   }
@@ -224,6 +232,10 @@ Fields splitFields(const BitPattern &Bits) {
     F.Sign = (Bits.Hi >> 63) != 0;
     F.Biased = (Bits.Hi >> 48) & 0x7FFF;
     F.Mantissa = (UInt128(Bits.Hi & ((uint64_t(1) << 48) - 1)) << 64) | Bits.Lo;
+  } else if (Bits.Format == FloatFormat::Extended80) {
+    F.Sign = (Bits.Hi >> 15) != 0;
+    F.Biased = Bits.Hi & 0x7FFF;
+    F.Mantissa = Bits.Lo & ((uint64_t(1) << 63) - 1);
   } else {
     F.Sign = (Bits.Lo >> (G.StoredBits + G.ExponentBits)) != 0;
     F.Biased = (Bits.Lo >> G.StoredBits) & (G.MaxBiased());
@@ -240,6 +252,10 @@ BitPattern joinFields(const Fields &F) {
     Bits.Lo = static_cast<uint64_t>(F.Mantissa);
     Bits.Hi = static_cast<uint64_t>(F.Mantissa >> 64) | (F.Biased << 48) |
               (F.Sign ? uint64_t(1) << 63 : 0);
+  } else if (F.Format == FloatFormat::Extended80) {
+    Bits.Lo = static_cast<uint64_t>(F.Mantissa) |
+              (F.Biased != 0 ? uint64_t(1) << 63 : 0);
+    Bits.Hi = F.Biased | (F.Sign ? uint64_t(1) << 15 : 0);
   } else {
     Bits.Lo = static_cast<uint64_t>(F.Mantissa) | (F.Biased << G.StoredBits) |
               (F.Sign ? uint64_t(1) << (G.StoredBits + G.ExponentBits) : 0);

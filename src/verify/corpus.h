@@ -14,9 +14,11 @@
 ///   # reference: fast path "826" (K=4) vs rational oracle "8264" (K=4)
 ///   binary16 0x7009 roundtrip,reference
 ///
-/// i.e. `<format> <hex encoding> <comma-separated oracles>`; binary128
-/// encodings are 32 hex digits.  Blank lines and further `#` lines are
-/// ignored, so corpus files concatenate and hand-edit cleanly.
+/// i.e. `<format> <hex encoding> <comma-separated oracles>`; extended80
+/// encodings are 20 hex digits (sign and exponent, then the significand
+/// with its integer bit) and binary128 encodings 32.  Blank lines and
+/// further `#` lines are ignored, so corpus files concatenate and
+/// hand-edit cleanly.
 ///
 /// The minimizer shrinks a failing record toward a canonical simple form
 /// -- sign cleared, exponent moved toward the bias (magnitude toward 1),

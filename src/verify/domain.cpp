@@ -6,6 +6,7 @@
 
 #include "verify/domain.h"
 
+#include "fp/format_traits.h"
 #include "fp/ieee_traits.h"
 #include "support/checks.h"
 #include "testgen/random_floats.h"
@@ -19,11 +20,23 @@ using namespace dragon4::verify;
 namespace {
 
 /// Encoding-space geometry per format (sign + exponent + stored mantissa).
+/// Extended80 stores its integer bit explicitly; StoredBits counts only
+/// the 63 fraction bits below it, and assemble() sets the integer bit
+/// exactly when the exponent is nonzero, so every encoding built here is
+/// canonical (no unnormals or pseudo-denormals).
 struct Geometry {
   int StoredBits;
   int ExponentBits;
   int MaxBiased() const { return (1 << ExponentBits) - 1; }
 };
+
+/// The biased extended80 exponents of the Ryu window: v = F * 2^E with
+/// 2^63 <= F < 2^64 has biased exponent E + 63 + 16383.
+constexpr uint64_t Extended80Bias = 16383;
+constexpr uint64_t RyuWindowLowBiased =
+    FormatTraits<long double>::RyuMinExponent + 63 + Extended80Bias;
+constexpr uint64_t RyuWindowHighBiased =
+    FormatTraits<long double>::RyuMaxExponent + 63 + Extended80Bias;
 
 Geometry geometry(FloatFormat Format) {
   switch (Format) {
@@ -33,6 +46,8 @@ Geometry geometry(FloatFormat Format) {
     return {23, 8};
   case FloatFormat::Binary64:
     return {52, 11};
+  case FloatFormat::Extended80:
+    return {63, 15};
   case FloatFormat::Binary128:
     return {112, 15};
   }
@@ -51,6 +66,10 @@ BitPattern assemble(FloatFormat Format, bool Sign, uint64_t Biased,
     Bits.Lo = MantissaLo;
     Bits.Hi = (MantissaHi & ((uint64_t(1) << 48) - 1)) | (Biased << 48) |
               (Sign ? uint64_t(1) << 63 : 0);
+  } else if (Format == FloatFormat::Extended80) {
+    Bits.Lo = (MantissaLo & ((uint64_t(1) << 63) - 1)) |
+              (Biased != 0 ? uint64_t(1) << 63 : 0);
+    Bits.Hi = Biased | (Sign ? uint64_t(1) << 15 : 0);
   } else {
     int TotalBits = G.StoredBits + G.ExponentBits;
     Bits.Lo = (MantissaLo & ((uint64_t(1) << G.StoredBits) - 1)) |
@@ -90,6 +109,15 @@ void appendBoundaries(FloatFormat Format, std::vector<BitPattern> &Out) {
       if (Biased > 1)
         Out.push_back(assemble(Format, Sign, Biased - 1, MantOnesHi, MantOnesLo));
     }
+    if (Format == FloatFormat::Extended80) {
+      // Both edges of the Ryu window and one binade outside each: the
+      // smallest and largest mantissa of each binade.
+      for (uint64_t Biased : {RyuWindowLowBiased - 1, RyuWindowLowBiased,
+                              RyuWindowHighBiased, RyuWindowHighBiased + 1}) {
+        Out.push_back(assemble(Format, Sign, Biased, 0, 0));
+        Out.push_back(assemble(Format, Sign, Biased, 0, MantOnesLo));
+      }
+    }
   }
 }
 
@@ -126,6 +154,17 @@ void appendHardCases(FloatFormat Format, std::vector<BitPattern> &Out) {
       Bits.Lo = IeeeTraits<double>::toBits(V);
       Out.push_back(Bits);
     }
+    break;
+  }
+  case FloatFormat::Extended80: {
+    // Run-of-ones fractions under the explicit integer bit, at four
+    // exponents spread across the Ryu window (both edges included).
+    std::vector<uint64_t> Patterns = schryerPatternsForWidth(63, false);
+    const uint64_t Step = (RyuWindowHighBiased - RyuWindowLowBiased) / 3;
+    for (uint64_t Biased = RyuWindowLowBiased; Biased <= RyuWindowHighBiased;
+         Biased += Step)
+      for (uint64_t M : Patterns)
+        Out.push_back(assemble(Format, false, Biased, 0, M));
     break;
   }
   case FloatFormat::Binary128: {
@@ -201,6 +240,28 @@ void appendRandom(FloatFormat Format, size_t Count, uint64_t Seed,
     for (double V : randomBitsDoubles(Count - 2 * Third, Seed + 2))
       Push(0, IeeeTraits<double>::toBits(V));
     break;
+  case FloatFormat::Extended80: {
+    // Mostly the Ryu window, where production values live: seven in ten
+    // random normals inside it, then one in ten each of normals over the
+    // whole range, subnormals, and canonical encodings of any exponent.
+    SplitMix64 Rng(Seed);
+    for (size_t I = 0; I < Count; ++I) {
+      const uint64_t Stratum = I % 10;
+      uint64_t Biased;
+      if (Stratum < 7)
+        Biased = RyuWindowLowBiased +
+                 Rng.below(RyuWindowHighBiased - RyuWindowLowBiased + 1);
+      else if (Stratum == 7)
+        Biased = 1 + Rng.below(32766);
+      else if (Stratum == 8)
+        Biased = 0;
+      else
+        Biased = Rng.below(32767);
+      Out.push_back(assemble(Format, (Rng.next() & 1) != 0, Biased, 0,
+                             Rng.next()));
+    }
+    break;
+  }
   case FloatFormat::Binary128: {
     SplitMix64 Rng(Seed);
     for (size_t I = 0; I < Count; ++I) {

@@ -13,13 +13,15 @@
 ///    index-to-bits mapping lives here so subranges and strides compose
 ///    deterministically.
 ///
-///  * Sampled: binary64 and binary128 cannot be enumerated, so their
-///    domains are deterministic stratified samples -- boundary encodings
-///    first (the places conversion bugs live: zeros, subnormal edges,
-///    power-of-two neighbours, max finite, specials), then Schryer-style
+///  * Sampled: binary64, extended80 and binary128 cannot be enumerated,
+///    so their domains are deterministic stratified samples -- boundary
+///    encodings first (the places conversion bugs live: zeros, subnormal
+///    edges, power-of-two neighbours, max finite, specials, and for
+///    extended80 the edges of the Ryu window), then Schryer-style
 ///    run-of-ones hard cases, then seeded random strata (normals,
-///    subnormals, raw bits).  The same (format, count, seed) triple always
-///    produces the same vector, so a failure index is reproducible.
+///    subnormals, raw bits; extended80 draws seven in ten inside the Ryu
+///    window).  The same (format, count, seed) triple always produces the
+///    same vector, so a failure index is reproducible.
 ///
 //===----------------------------------------------------------------------===//
 

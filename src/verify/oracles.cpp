@@ -21,6 +21,7 @@
 #include "format/render.h"
 #include "fp/binary128.h"
 #include "fp/binary16.h"
+#include "fp/format_traits.h"
 #include "parse/parse.h"
 #include "reader/reader.h"
 
@@ -51,8 +52,8 @@ std::string hex(uint64_t Value, int Digits) {
 }
 
 /// Per-format bit plumbing: construct the value, read its bits back, and
-/// name the encoding width.  Binary128 gets explicit specializations since
-/// it does not share the narrow Decomposed/traits path.
+/// name the encoding width.  Extended80 and binary128 get explicit
+/// specializations: neither has a single-integer IeeeTraits encoding.
 template <typename T> struct BitOps {
   using Traits = IeeeTraits<T>;
   static T fromPattern(const BitPattern &Bits) {
@@ -69,6 +70,31 @@ template <typename T> struct BitOps {
   }
   static std::string showBits(T Value) {
     return "0x" + hex(Traits::toBits(Value), (int)sizeof(typename Traits::Bits) * 2);
+  }
+};
+
+/// Extended80 through its canonical (Lo, Hi) split: the 64-bit
+/// significand with its explicit integer bit, then sign and exponent.
+template <> struct BitOps<long double> {
+  using Format = FormatTraits<long double>;
+  static long double fromPattern(const BitPattern &Bits) {
+    return Format::fromEncoding(Bits.Lo, Bits.Hi);
+  }
+  static bool sameBits(long double L, long double R) {
+    uint64_t LLo, LHi, RLo, RHi;
+    Format::encodingBits(L, LLo, LHi);
+    Format::encodingBits(R, RLo, RHi);
+    return LLo == RLo && LHi == RHi;
+  }
+  static long double magnitude(long double Value) {
+    uint64_t Lo, Hi;
+    Format::encodingBits(Value, Lo, Hi);
+    return Format::fromEncoding(Lo, Hi & 0x7FFF);
+  }
+  static std::string showBits(long double Value) {
+    uint64_t Lo, Hi;
+    Format::encodingBits(Value, Lo, Hi);
+    return "0x" + hex(Hi, 4) + hex(Lo, 16);
   }
 };
 
@@ -239,6 +265,20 @@ bool oracleLibcRead(double Value, std::string &Detail) {
   return true;
 }
 
+bool oracleLibcRead(long double Value, std::string &Detail) {
+  std::string Text = toShortest(Value);
+  char *End = nullptr;
+  long double Back = std::strtold(Text.c_str(), &End);
+  if (End != Text.c_str() + Text.size() ||
+      !BitOps<long double>::sameBits(Back, Value)) {
+    Detail = "libc: strtold(\"" + Text + "\") gives " +
+             BitOps<long double>::showBits(Back) + ", not " +
+             BitOps<long double>::showBits(Value);
+    return false;
+  }
+  return true;
+}
+
 bool oracleLibcRead(float Value, std::string &Detail) {
   std::string Text = toShortest(Value);
   char *End = nullptr;
@@ -376,7 +416,8 @@ Verdict checkValue(T Value, unsigned Oracles, engine::Scratch *S) {
     std::string Detail;
     Record(OracleReference, oracleReference(Value, Detail), Detail);
   }
-  if constexpr (std::is_same_v<T, double> || std::is_same_v<T, float>) {
+  if constexpr (std::is_same_v<T, double> || std::is_same_v<T, float> ||
+                std::is_same_v<T, long double>) {
     if (Oracles & OracleLibc) {
       std::string Detail;
       Record(OracleLibc, oracleLibcRead(Value, Detail), Detail);
@@ -408,6 +449,8 @@ const char *dragon4::verify::formatName(FloatFormat Format) {
     return "binary32";
   case FloatFormat::Binary64:
     return "binary64";
+  case FloatFormat::Extended80:
+    return "extended80";
   case FloatFormat::Binary128:
     return "binary128";
   }
@@ -417,7 +460,8 @@ const char *dragon4::verify::formatName(FloatFormat Format) {
 std::optional<FloatFormat>
 dragon4::verify::formatByName(std::string_view Name) {
   for (FloatFormat F : {FloatFormat::Binary16, FloatFormat::Binary32,
-                        FloatFormat::Binary64, FloatFormat::Binary128})
+                        FloatFormat::Binary64, FloatFormat::Extended80,
+                        FloatFormat::Binary128})
     if (Name == formatName(F))
       return F;
   return std::nullopt;
@@ -430,6 +474,7 @@ uint64_t dragon4::verify::encodingCount(FloatFormat Format) {
   case FloatFormat::Binary32:
     return uint64_t(1) << 32;
   case FloatFormat::Binary64:
+  case FloatFormat::Extended80:
   case FloatFormat::Binary128:
     return 0; // Not enumerable in practice.
   }
@@ -446,6 +491,7 @@ unsigned dragon4::verify::supportedOracles(FloatFormat Format) {
     return OracleAll & ~OracleLibc;
   case FloatFormat::Binary32:
   case FloatFormat::Binary64:
+  case FloatFormat::Extended80:
     return OracleAll;
   case FloatFormat::Binary128:
     return OracleAll & ~OracleLibc;
@@ -493,6 +539,8 @@ std::string dragon4::verify::bitsToHex(const BitPattern &Bits) {
     return "0x" + hex(Bits.Lo, 8);
   case FloatFormat::Binary64:
     return "0x" + hex(Bits.Lo, 16);
+  case FloatFormat::Extended80:
+    return "0x" + hex(Bits.Hi, 4) + hex(Bits.Lo, 16);
   case FloatFormat::Binary128:
     return "0x" + hex(Bits.Hi, 16) + hex(Bits.Lo, 16);
   }
@@ -510,6 +558,8 @@ FormatId formatIdFor(FloatFormat F) {
     return FormatId::Binary32;
   case FloatFormat::Binary64:
     return FormatId::Binary64;
+  case FloatFormat::Extended80:
+    return FormatId::Extended80;
   case FloatFormat::Binary128:
     return FormatId::Binary128;
   }
@@ -525,6 +575,8 @@ Verdict dispatchChecks(const BitPattern &Bits, unsigned Oracles,
     return checkValue(BitOps<float>::fromPattern(Bits), Oracles, S);
   case FloatFormat::Binary64:
     return checkValue(BitOps<double>::fromPattern(Bits), Oracles, S);
+  case FloatFormat::Extended80:
+    return checkValue(BitOps<long double>::fromPattern(Bits), Oracles, S);
   case FloatFormat::Binary128:
     return checkValue(BitOps<Binary128>::fromPattern(Bits), Oracles, S);
   }

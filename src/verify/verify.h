@@ -17,8 +17,9 @@
 ///   reference  digit-for-digit agreement with the Section 2 algorithm
 ///              over exact rationals (core/reference.cpp, an independent
 ///              implementation sharing no code with the fast path)
-///   libc       strtod/strtof read-back of our output (an oracle outside
-///              this codebase entirely; binary32/binary64 only)
+///   libc       strtof/strtod/strtold read-back of our output (an oracle
+///              outside this codebase entirely; binary32, binary64 and
+///              extended80)
 ///   engine     engine::format byte-identical to toShortest (every format:
 ///              the buffer pipeline is one traits-driven template)
 ///   parse      parse::parseFloat (the Eisel-Lemire production reader)
@@ -44,8 +45,15 @@
 
 namespace dragon4::verify {
 
-/// The IEEE-754 interchange formats the harness can sweep.
-enum class FloatFormat : uint8_t { Binary16, Binary32, Binary64, Binary128 };
+/// The formats the harness can sweep: the IEEE-754 interchange formats
+/// and x87 extended80 (long double).
+enum class FloatFormat : uint8_t {
+  Binary16,
+  Binary32,
+  Binary64,
+  Extended80,
+  Binary128
+};
 
 /// Lower-case name used on the command line and in corpus records.
 const char *formatName(FloatFormat Format);
@@ -68,8 +76,8 @@ enum : unsigned {
   OracleAll = (1u << 6) - 1,
 };
 
-/// The subset of OracleAll implemented for \p Format (everything except
-/// libc, which needs a hardware type with a C-library reader).
+/// The subset of OracleAll implemented for \p Format (everything, except
+/// libc for binary16 and binary128, which have no C-library reader).
 unsigned supportedOracles(FloatFormat Format);
 
 /// Comma-separated lower-case names of the oracles in \p Mask.
@@ -80,7 +88,10 @@ std::string oracleNames(unsigned Mask);
 std::optional<unsigned> parseOracles(std::string_view Text);
 
 /// A value addressed by encoding.  Lo holds the (zero-extended) encoding
-/// for the 16/32/64-bit formats; binary128 uses both halves.
+/// for the 16/32/64-bit formats; binary128 uses both halves, and
+/// extended80 keeps its 64-bit significand (explicit integer bit
+/// included) in Lo and sign and exponent in the low 16 bits of Hi -- the
+/// FormatTraits<long double>::encodingBits split.
 struct BitPattern {
   FloatFormat Format = FloatFormat::Binary64;
   uint64_t Hi = 0;
@@ -91,7 +102,8 @@ struct BitPattern {
   }
 };
 
-/// "0x..." rendering of the encoding (32 hex digits for binary128).
+/// "0x..." rendering of the encoding (20 hex digits for extended80, 32
+/// for binary128).
 std::string bitsToHex(const BitPattern &Bits);
 
 /// Outcome of running a set of oracles over one value.

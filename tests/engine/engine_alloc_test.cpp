@@ -33,6 +33,13 @@ void *operator new(size_t Size) {
   throw std::bad_alloc();
 }
 
+// dragon4_scratch_create uses the nothrow form; it must come from the
+// same allocator the replaced operator delete frees into, and count too.
+void *operator new(size_t Size, const std::nothrow_t &) noexcept {
+  GlobalNewCount.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(Size ? Size : 1);
+}
+
 void operator delete(void *Ptr) noexcept { std::free(Ptr); }
 void operator delete(void *Ptr, size_t) noexcept { std::free(Ptr); }
 

@@ -8,19 +8,19 @@
 /// The Ryu rung against the exact Burger-Dybvig loop.  binary16 is small
 /// enough to sweep the full encoding space under the whole symmetric
 /// options matrix (three boundary modes x three tie breaks); binary32 gets
-/// a strided sweep.  Every Ryu conversion must be byte-identical to the
-/// exact algorithm, and -- asserted separately so a correctness regression
-/// and a minimality regression fail with different messages -- never
-/// longer than the Dragon4 output.  Ryu's range checks read only the
-/// exponent, so one conversion per exponent of each certified format
-/// proves they can never fire.  The RyuLadder tests hold the string API's
-/// two-rung ladder to the exact loop.
+/// a strided sweep; extended80 has its own file,
+/// ryu_extended80_test.cpp.  Every Ryu conversion must be byte-identical
+/// to the exact algorithm, and -- asserted separately so a correctness
+/// regression and a minimality regression fail with different messages --
+/// never longer than the Dragon4 output.  Ryu's range checks read only the
+/// exponent, so one conversion per exponent of each certified format (of
+/// extended80's window) proves they can never fire.  The RyuLadder tests
+/// hold the string API's two-rung ladder to the exact loop.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "fastpath/ryu.h"
+#include "ryu_check.h"
 
-#include "core/free_format.h"
 #include "format/dtoa.h"
 #include "format/render.h"
 #include "fp/binary16.h"
@@ -35,62 +35,7 @@ using namespace dragon4;
 
 namespace {
 
-struct OptionCombo {
-  BoundaryMode Boundaries;
-  TieBreak Ties;
-};
-
-/// The full symmetric options matrix: every boundary mode Ryu models,
-/// crossed with every writer tie strategy.
-constexpr OptionCombo SymmetricCombos[] = {
-    {BoundaryMode::Conservative, TieBreak::RoundUp},
-    {BoundaryMode::Conservative, TieBreak::RoundEven},
-    {BoundaryMode::Conservative, TieBreak::RoundDown},
-    {BoundaryMode::NearestEven, TieBreak::RoundUp},
-    {BoundaryMode::NearestEven, TieBreak::RoundEven},
-    {BoundaryMode::NearestEven, TieBreak::RoundDown},
-    {BoundaryMode::BothInclusive, TieBreak::RoundUp},
-    {BoundaryMode::BothInclusive, TieBreak::RoundEven},
-    {BoundaryMode::BothInclusive, TieBreak::RoundDown},
-};
-
-const char *comboName(const OptionCombo &Combo) {
-  switch (Combo.Boundaries) {
-  case BoundaryMode::Conservative:
-    switch (Combo.Ties) {
-    case TieBreak::RoundUp:
-      return "conservative/up";
-    case TieBreak::RoundEven:
-      return "conservative/even";
-    case TieBreak::RoundDown:
-      return "conservative/down";
-    }
-    break;
-  case BoundaryMode::NearestEven:
-    switch (Combo.Ties) {
-    case TieBreak::RoundUp:
-      return "nearest-even/up";
-    case TieBreak::RoundEven:
-      return "nearest-even/even";
-    case TieBreak::RoundDown:
-      return "nearest-even/down";
-    }
-    break;
-  case BoundaryMode::BothInclusive:
-    switch (Combo.Ties) {
-    case TieBreak::RoundUp:
-      return "both-inclusive/up";
-    case TieBreak::RoundEven:
-      return "both-inclusive/even";
-    case TieBreak::RoundDown:
-      return "both-inclusive/down";
-    }
-    break;
-  default:
-    break;
-  }
-  return "?";
-}
+using namespace dragon4::ryu_check;
 
 /// Runs Ryu and the exact loop on one finite non-zero value and compares.
 /// Returns false (after recording a gtest failure) on any divergence.
@@ -100,42 +45,12 @@ bool checkOne(T Value, uint64_t Bits, const OptionCombo &Combo,
               std::vector<uint8_t> &Digits) {
   using Traits = IeeeTraits<T>;
   Decomposed D = decompose(Value);
-  bool AcceptBounds = false;
-  if (!ryuEligible(10, Combo.Boundaries, (D.F & 1) == 0, AcceptBounds)) {
-    ADD_FAILURE() << "symmetric combo " << comboName(Combo)
-                  << " not Ryu-eligible, bits 0x" << std::hex << Bits;
-    return false;
-  }
-  int K = 0;
-  if (!ryuShortestInto(D.F, D.E, Traits::Precision, Traits::MinExponent,
-                       AcceptBounds, Combo.Ties, Digits, K)) {
-    ADD_FAILURE() << "Ryu fell back on in-range input, bits 0x" << std::hex
-                  << Bits << " combo " << comboName(Combo);
-    return false;
-  }
-  FreeFormatOptions Options;
-  Options.Boundaries = Combo.Boundaries;
-  Options.Ties = Combo.Ties;
-  DigitString Exact = freeFormatDigits(D.F, D.E, Traits::Precision,
-                                       Traits::MinExponent, Options);
-  // Minimality first: a Ryu result longer than Dragon4's is a shortness
-  // bug even if some prefix agrees.
-  if (Digits.size() > Exact.Digits.size()) {
-    ADD_FAILURE() << "Ryu emitted " << Digits.size() << " digits, Dragon4 "
-                  << Exact.Digits.size() << ", bits 0x" << std::hex << Bits
-                  << " combo " << comboName(Combo);
-    return false;
-  }
-  if (Digits != Exact.Digits || K != Exact.K) {
-    DigitString Ours;
-    Ours.Digits = Digits;
-    Ours.K = K;
-    ADD_FAILURE() << "Ryu " << Ours.digitsAsText() << "e" << K << " != exact "
-                  << Exact.digitsAsText() << "e" << Exact.K << ", bits 0x"
-                  << std::hex << Bits << " combo " << comboName(Combo);
-    return false;
-  }
-  return true;
+  Tally Counts;
+  if (checkRyu(D.F, D.E, Traits::Precision, Traits::MinExponent, Combo,
+               Digits, Counts))
+    return true;
+  ADD_FAILURE() << Counts.FirstMismatch << ", bits 0x" << std::hex << Bits;
+  return false;
 }
 
 /// Full binary16 encoding space (sign included -- digit generation works on
@@ -223,18 +138,26 @@ TEST(RyuEligibility, AcceptBoundsResolution) {
 
 /// Ryu's range checks depend only on the exponent E of v = F * 2^E, so
 /// converting one mantissa per exponent reaches every shift and table
-/// index the format can produce.  At each exponent of the format: the
-/// binade-boundary mantissa 2^(p-1) (the halved lower gap), the largest
-/// mantissa, and F = 1 at MinExponent (the smallest subnormal), under both
-/// AcceptBounds values.  Every call must succeed (an out-of-range check
-/// would abort) and equal the exact loop under the matching reader model.
+/// index the format can produce.  At each exponent of the format's Ryu
+/// window (every exponent of binary16/32/64): the binade-boundary mantissa
+/// 2^(p-1) (the halved lower gap), the largest mantissa, a random one, and
+/// F = 1 at MinExponent (the smallest subnormal), under both AcceptBounds
+/// values.  Every call must succeed (an out-of-range check would abort)
+/// and equal the exact loop under the matching reader model.  The 128-bit
+/// carrier may decline a product it cannot certify, but none of these
+/// deterministic inputs comes near the margin, so a refusal here means the
+/// certification changed.
 template <typename T> void checkEveryExponent() {
   using Traits = IeeeTraits<T>;
+  using Format = FormatTraits<T>;
   constexpr int P = Traits::Precision;
+  const uint64_t Largest = P == 64 ? ~uint64_t(0) : (uint64_t(1) << P) - 1;
+  SplitMix64 Rng(P);
   std::vector<uint8_t> Digits;
-  for (int E = Traits::MinExponent; E <= Traits::MaxExponent; ++E) {
-    std::vector<uint64_t> Mantissas = {uint64_t(1) << (P - 1),
-                                       (uint64_t(1) << P) - 1};
+  for (int E = Format::RyuMinExponent; E <= Format::RyuMaxExponent; ++E) {
+    std::vector<uint64_t> Mantissas = {
+        uint64_t(1) << (P - 1), Largest,
+        (uint64_t(1) << (P - 1)) | (Rng.next() & (Largest >> 1))};
     if (E == Traits::MinExponent)
       Mantissas.push_back(1);
     for (uint64_t F : Mantissas) {
@@ -259,6 +182,7 @@ TEST(RyuExponents, EveryExponentOfEveryCertifiedFormatConverts) {
   checkEveryExponent<Binary16>();
   checkEveryExponent<float>();
   checkEveryExponent<double>();
+  checkEveryExponent<long double>();
 }
 
 /// toShortest must render exactly the exact loop's digits for every finite

@@ -20,6 +20,7 @@
 
 #include "fastpath/ryu.h"
 #include "fp/binary16.h"
+#include "fp/format_traits.h"
 #include "fp/ieee_traits.h"
 #include "support/testhooks.h"
 
@@ -127,6 +128,46 @@ TEST(RyuInjection, BugCaughtMinimizedReplayed) {
   testhooks::FlipRyuBoundComparison = false;
   EXPECT_TRUE(replayRecord(Loaded.front()).ok());
   std::remove(Path.c_str());
+}
+
+// The same lifecycle on extended80, whose Ryu rung runs on the 128-bit
+// carrier: values just above 1.0 (shortest forms of ~20 digits) catch the
+// flipped bound through the round-trip oracle, and the minimizer keeps
+// the failure canonical and inside Ryu's exponent window -- the only
+// place the bug can live.
+TEST(RyuInjection, Extended80BugCaughtMinimizedInsideTheWindow) {
+  HookGuard Guard;
+  testhooks::FlipRyuBoundComparison = true;
+  constexpr unsigned Oracles = OracleRoundTrip | OracleEngine | OracleLibc;
+
+  std::vector<CorpusRecord> Failures;
+  for (uint64_t Ulps = 1; Ulps <= 64; ++Ulps) {
+    BitPattern Bits;
+    Bits.Format = FloatFormat::Extended80;
+    Bits.Hi = 0x3FFF; // 2^0
+    Bits.Lo = (uint64_t(1) << 63) + Ulps;
+    Verdict Verdict = checkBits(Bits, Oracles);
+    if (!Verdict.ok()) {
+      CorpusRecord Record;
+      Record.Bits = Bits;
+      Record.Oracles = Verdict.Failed;
+      Failures.push_back(Record);
+    }
+  }
+  ASSERT_FALSE(Failures.empty())
+      << "injected Ryu bound bug not caught on extended80";
+
+  CorpusRecord Minimized = minimizeRecord(Failures.front());
+  EXPECT_FALSE(replayRecord(Minimized).ok());
+  ASSERT_EQ(Minimized.Bits.Format, FloatFormat::Extended80);
+  const uint64_t Biased = Minimized.Bits.Hi & 0x7FFF;
+  EXPECT_NE(Minimized.Bits.Lo >> 63, 0u) << "non-canonical encoding";
+  const int E = static_cast<int>(Biased) - 16383 - 63;
+  EXPECT_GE(E, FormatTraits<long double>::RyuMinExponent);
+  EXPECT_LE(E, FormatTraits<long double>::RyuMaxExponent);
+
+  testhooks::FlipRyuBoundComparison = false;
+  EXPECT_TRUE(replayRecord(Minimized).ok());
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "verify/verify.h"
 
 #include "engine/batch.h"
+#include "fp/format_traits.h"
 #include "fp/ieee_traits.h"
 #include "support/testhooks.h"
 
@@ -57,7 +58,8 @@ struct HookGuard {
 
 TEST(VerifyNames, FormatNamesRoundTrip) {
   for (FloatFormat F : {FloatFormat::Binary16, FloatFormat::Binary32,
-                        FloatFormat::Binary64, FloatFormat::Binary128}) {
+                        FloatFormat::Binary64, FloatFormat::Extended80,
+                        FloatFormat::Binary128}) {
     auto Back = formatByName(formatName(F));
     ASSERT_TRUE(Back.has_value());
     EXPECT_EQ(*Back, F);
@@ -182,6 +184,58 @@ TEST(VerifyCorpus, RecordEncodeParseRoundTrip) {
   EXPECT_FALSE(parseRecordLine("binary9 0x3c00 roundtrip", Back));
   // Out-of-range encoding for a narrow format.
   EXPECT_FALSE(parseRecordLine("binary32 0x123456789abcdef01 roundtrip", Back));
+}
+
+/// Extended80's explicit integer bit: every sampled encoding is canonical
+/// (integer bit set exactly when the exponent is nonzero), the sample is
+/// deterministic, and most random values land inside Ryu's window.
+TEST(VerifyExtended80, SampledDomainIsCanonicalAndMostlyInWindow) {
+  std::vector<BitPattern> A = sampledDomain(FloatFormat::Extended80, 20000, 7);
+  std::vector<BitPattern> B = sampledDomain(FloatFormat::Extended80, 20000, 7);
+  ASSERT_EQ(A.size(), 20000u);
+  EXPECT_TRUE(std::equal(A.begin(), A.end(), B.begin()));
+  size_t InWindow = 0;
+  for (const BitPattern &Bits : A) {
+    ASSERT_LE(Bits.Hi, 0xFFFFu) << bitsToHex(Bits);
+    const uint64_t Biased = Bits.Hi & 0x7FFF;
+    EXPECT_EQ(Bits.Lo >> 63, Biased != 0 ? 1u : 0u) << bitsToHex(Bits);
+    const int E = static_cast<int>(Biased) - 16383 - 63;
+    InWindow += Biased != 0 && E >= FormatTraits<long double>::RyuMinExponent &&
+                E <= FormatTraits<long double>::RyuMaxExponent;
+  }
+  EXPECT_GT(InWindow, A.size() / 2);
+  EXPECT_LT(InWindow, A.size());
+}
+
+/// Every oracle on a few extended80 values, the boundary stratum through
+/// every oracle but the ~15 ms/value rational reference, and the 20-digit
+/// corpus encoding.
+TEST(VerifyExtended80, OraclesAndCorpusRecords) {
+  EXPECT_EQ(supportedOracles(FloatFormat::Extended80), unsigned(OracleAll));
+  for (uint64_t Lo : {uint64_t(1) << 63, 0xCCCCCCCCCCCCCCCDu, ~uint64_t(0)}) {
+    Verdict Verdict = checkBits(bitsOf(FloatFormat::Extended80, 0x3FFB, Lo));
+    EXPECT_TRUE(Verdict.ok()) << Verdict.Detail;
+  }
+  for (const BitPattern &Bits :
+       sampledDomain(FloatFormat::Extended80, 400, 3)) {
+    Verdict Verdict = checkBits(Bits, OracleAll & ~OracleReference);
+    EXPECT_TRUE(Verdict.ok()) << bitsToHex(Bits) << ": " << Verdict.Detail;
+  }
+
+  CorpusRecord Record;
+  Record.Bits = bitsOf(FloatFormat::Extended80, 0xBFFF, 0xC000000000000001);
+  Record.Oracles = OracleRoundTrip | OracleLibc;
+  EXPECT_EQ(bitsToHex(Record.Bits), "0xbfffc000000000000001");
+  CorpusRecord Back;
+  ASSERT_TRUE(parseRecordLine("extended80 " + bitsToHex(Record.Bits) +
+                                  " roundtrip,libc",
+                              Back));
+  EXPECT_EQ(Back.Bits, Record.Bits);
+  EXPECT_EQ(Back.Oracles, Record.Oracles);
+  EXPECT_TRUE(replayRecord(Back).ok());
+  // Sign and exponent occupy 16 bits; anything above is malformed.
+  EXPECT_FALSE(
+      parseRecordLine("extended80 0x1bfffc000000000000001 roundtrip", Back));
 }
 
 TEST(VerifyCorpus, FileAppendAndLoad) {

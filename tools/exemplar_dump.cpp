@@ -21,8 +21,8 @@
 /// digit count, K, options) plus `<format> <hex> <oracles>`.  Only the
 /// stable per-cell "worst" records are emitted by default; --include-recent
 /// adds the rolling tail ring.  Records are deduplicated by encoding, and
-/// extended80 captures are skipped with a note (the verify harness sweeps
-/// the interchange formats only).
+/// captures of a format the verify harness cannot address are skipped with
+/// a note.
 ///
 /// Exit: 0 when at least one record was written, 1 when the document was
 /// valid but empty (pass --allow-empty to make that 0), 2 on usage/fetch/
@@ -170,8 +170,8 @@ int main(int Argc, char **Argv) {
     std::optional<verify::FloatFormat> Format =
         verify::formatByName(FormatName);
     if (!Format) {
-      // extended80 (and anything future) has no verify-harness sweep
-      // domain; note it so the drop is visible, keep going.
+      // A format the verify harness cannot address; note it so the
+      // drop is visible, keep going.
       ++SkippedFormat;
       continue;
     }
@@ -203,7 +203,7 @@ int main(int Argc, char **Argv) {
   if (SkippedFormat)
     std::fprintf(stderr,
                  "exemplar_dump: skipped %zu record(s) with no verify "
-                 "sweep domain (extended80)\n",
+                 "sweep domain\n",
                  SkippedFormat);
 
   if (OutPath.empty()) {

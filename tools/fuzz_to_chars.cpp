@@ -21,7 +21,10 @@
 ///     markers are outside the parser's grammar).
 ///
 /// Same seed, same cases: a reported failure prints a one-line
-/// reproducer (format, bits, option bytes, case index).
+/// reproducer (format, bits, option bytes, case index).  Half of the
+/// extended80 cases draw their exponent inside the Ryu window, the rest
+/// over the whole range; the summary line counts the extended80 cases
+/// each rung of the shortest ladder served.
 ///
 ///   fuzz_to_chars [--cases=N] [--seed=S]
 ///
@@ -39,6 +42,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 using namespace dragon4;
@@ -54,6 +58,10 @@ struct Reproducer {
 };
 
 int Failures = 0;
+
+/// Extended80 shortest conversions served by Ryu and by the exact loop.
+uint64_t Extended80Ryu = 0;
+uint64_t Extended80Exact = 0;
 
 void reportFailure(const Reproducer &R, const char *What,
                    const std::string &Got, const std::string &Want) {
@@ -124,7 +132,13 @@ void fuzzOne(const Reproducer &R, eng::Scratch &S) {
   // (113 mantissa digits plus sign, point, marker, and exponent).
   char Buf[256];
   static_assert(sizeof(Buf) >= 2 * DRAGON4_MAX_CHARS10);
+  const uint64_t RyuBefore = S.stats().RyuHits;
+  const uint64_t ExactBefore = S.stats().SlowPathDirect;
   size_t EngineLen = eng::format(Value, Buf, sizeof(Buf), Options, S);
+  if constexpr (std::is_same_v<T, long double>) {
+    Extended80Ryu += S.stats().RyuHits - RyuBefore;
+    Extended80Exact += S.stats().SlowPathDirect - ExactBefore;
+  }
   if (EngineLen > sizeof(Buf) ||
       std::string(Buf, EngineLen) != Reference) {
     reportFailure(R, "engine::format vs toShortest",
@@ -337,10 +351,20 @@ int main(int Argc, char **Argv) {
       fuzzOne<double>(R, S);
       break;
     case DRAGON4_FORMAT_EXTENDED80: {
+      // Half the exponents inside the Ryu window (a uniform 15-bit draw
+      // lands there only ~7% of the time), so both rungs see traffic.
+      uint16_t SignExp = static_cast<uint16_t>(R.Hi & 0xFFFF);
+      if (Rng.below(2) == 0) {
+        constexpr int Bias = 16383 + 63;
+        constexpr int Low = FormatTraits<long double>::RyuMinExponent + Bias;
+        constexpr int High = FormatTraits<long double>::RyuMaxExponent + Bias;
+        SignExp = static_cast<uint16_t>(
+            (SignExp & 0x8000) |
+            (Low + static_cast<int>(Rng.below(High - Low + 1))));
+      }
       // Only canonical x87 encodings (integer bit set for non-zero
       // exponents) represent values; non-canonical bit patterns are
       // pseudo-denormals the format's own equality cannot round-trip.
-      uint16_t SignExp = static_cast<uint16_t>(R.Hi & 0xFFFF);
       if ((SignExp & 0x7FFF) != 0)
         R.Lo |= 1ull << 63;
       else
@@ -367,7 +391,7 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   std::printf("fuzz_to_chars: %" PRIu64 " case(s) clean, seed 0x%" PRIx64
-              "\n",
-              Cases, Seed);
+              "; extended80 by rung: ryu=%" PRIu64 " exact=%" PRIu64 "\n",
+              Cases, Seed, Extended80Ryu, Extended80Exact);
   return 0;
 }

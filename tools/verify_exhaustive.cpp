@@ -7,10 +7,10 @@
 /// \file
 /// Command-line driver for the src/verify/ harness: runs the pluggable
 /// oracles over exhaustive encoding sweeps (binary16, binary32) or
-/// deterministic stratified samples (binary64, binary128), sharded across
-/// a BatchPool worker pool.  Mismatches become replayable corpus
-/// records; --replay re-runs a corpus file and exits nonzero if any record
-/// still fails.
+/// deterministic stratified samples (binary64, extended80, binary128),
+/// sharded across a BatchPool worker pool.  Mismatches become replayable
+/// corpus records; --replay re-runs a corpus file and exits nonzero if any
+/// record still fails.
 ///
 ///   verify_exhaustive --format binary16 --all
 ///   verify_exhaustive --format binary32 --begin 0x3f000000 --end 0x40000000
@@ -18,7 +18,7 @@
 ///   verify_exhaustive --replay tests/corpus/regressions.rec
 ///
 /// Options (all accept both `--flag value` and `--flag=value`):
-///   --format <name>      binary16|binary32|binary64|binary128
+///   --format <name>      binary16|binary32|binary64|extended80|binary128
 ///   --domain <name>      shorthand for --format <name> --all
 ///   --all                exhaustive sweep over every encoding
 ///   --begin/--end N      exhaustive subrange [begin, end), hex or decimal
