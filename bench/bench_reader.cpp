@@ -14,7 +14,9 @@
 /// headline number, and parse_readback_gb_per_s converts the fast
 /// parser's per-literal cost into decimal-text bandwidth.  The fused
 /// round trip (format + parse per value) bounds a full serialize ->
-/// deserialize cycle.
+/// deserialize cycle.  The long-halfway pair parses decimal halfway
+/// points of 20-770 significant digits, the parser's residue, with each
+/// implementation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,10 +26,13 @@
 #include "engine/scratch.h"
 #include "engine/stats.h"
 #include "parse/parse.h"
+#include "testgen/halfway_literals.h"
 #include "testgen/random_floats.h"
 
 #include "bench_gbench.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -55,6 +60,34 @@ const std::vector<std::string> &readBackCorpus() {
     for (double V : randomBitsDoubles(4096, 0xBE7C)) {
       size_t Len = engine::format(V, Buf, sizeof(Buf), PrintOptions{}, Scratch);
       Out.emplace_back(Buf, Len);
+    }
+    return Out;
+  }();
+  return Corpus;
+}
+
+/// Binary64 halfway literals with log-uniform significant digit counts in
+/// [20, 770]: the halfway point (2m+1) * 5^K / 10^K above a random
+/// mantissa, with K picked for the target length (about 16.3 + 0.7K
+/// digits), on the tie or one sticky digit above or below it.
+const std::vector<std::string> &longHalfwayCorpus() {
+  static const std::vector<std::string> Corpus = [] {
+    SplitMix64 Rng(0x4A1F);
+    std::vector<std::string> Out;
+    for (int I = 0; I < 512; ++I) {
+      const double Target =
+          20.0 * std::pow(770.0 / 20.0, static_cast<double>(Rng.below(1 << 20)) /
+                                            (1 << 20));
+      const int K = std::clamp(static_cast<int>((Target - 16.3) / 0.699), 6,
+                               1075);
+      const uint64_t Lower = (uint64_t(1076 - K) << 52) |
+                             (Rng.next() & ((uint64_t(1) << 52) - 1));
+      DecimalLiteral D = halfwayAbove<double>(Lower);
+      if (I % 3 == 1)
+        D = stickyAbove(D, D.Digits.size() + 1);
+      else if (I % 3 == 2)
+        D = stickyBelow(D, D.Digits.size() + 1);
+      Out.push_back(spellLiteral(D, LiteralSpelling::Exponent));
     }
     return Out;
   }();
@@ -173,6 +206,32 @@ void BM_ReadBackExactReader(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_ReadBackExactReader);
+
+void BM_ParseLongHalfway(benchmark::State &State) {
+  // The residue: every literal goes to parseFloat's halfway comparison.
+  const auto &Corpus = longHalfwayCorpus();
+  size_t Index = 0;
+  for (auto _ : State) {
+    auto R = parse::parseFloat<double>(Corpus[Index]);
+    benchmark::DoNotOptimize(R);
+    if (++Index == Corpus.size())
+      Index = 0;
+  }
+}
+BENCHMARK(BM_ParseLongHalfway);
+
+void BM_ReadLongHalfway(benchmark::State &State) {
+  // The same literals through the exact bignum reader.
+  const auto &Corpus = longHalfwayCorpus();
+  size_t Index = 0;
+  for (auto _ : State) {
+    auto V = readFloat<double>(Corpus[Index]);
+    benchmark::DoNotOptimize(V);
+    if (++Index == Corpus.size())
+      Index = 0;
+  }
+}
+BENCHMARK(BM_ReadLongHalfway);
 
 void BM_RoundTripFused(benchmark::State &State) {
   // Fused print -> parse: format one double into a stack buffer and parse

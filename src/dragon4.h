@@ -26,22 +26,23 @@
 ///              one accepted fastpath -> format edge: render_core.h itself
 ///              depends only on core/ and support/, so there is no cycle)
 ///   reader/    correctly rounded text -> float (exact; verification side)
-///   parse/     Eisel-Lemire text -> float (production side), certified
-///              fallback to reader/ on the undecidable residue
+///   parse/     Eisel-Lemire text -> float (production side); one exact
+///              halfway comparison on stack integers settles the residue
+///              of binary32/64, reader/ serves the other formats
 ///   format/    the Sink concept (sink.h), the writer-generic digit
 ///              rendering core (render_core.h), printf and Scheme
 ///              notation, and the string API's declarations (dtoa.h)
 ///   engine/    formatInto<T, Sink> and formatFixedInto<T, Sink> -- the
 ///              conversion bodies every surface instantiates -- plus
 ///              format<T>/formatFixed<T>, the string API's definitions
-///              (toShortest/toFixed are StringSink instantiations),
+///              (toShortest via format(), toFixed a StringSink one),
 ///              RecordStream (push-style streaming), BatchEngine<T>,
 ///              type-erased AnyBatch, per-format counters and bounds
 ///   abi/       the stable C ABI (dragon4_to_chars.h): hardened, locale-
 ///              and allocation-free C99 entry points over engine/ + parse/
 ///   baselines/ Steele-White, Grisu3, straightforward fixed-format,
 ///              printf shim -- named comparators, not production rungs
-///   testgen/   Schryer-style and random workloads
+///   testgen/   Schryer-style, random and halfway-literal workloads
 ///
 /// The pipeline shape, identical for every T:
 ///
@@ -88,6 +89,7 @@
 #include "parse/parse.h"
 #include "rational/rational.h"
 #include "reader/reader.h"
+#include "testgen/halfway_literals.h"
 #include "testgen/random_floats.h"
 #include "testgen/schryer.h"
 

@@ -12,8 +12,9 @@
 /// formatInto (shortest) and formatFixedInto (fixed) are the two
 /// writer-generic bodies; format()/formatFixed() (BufferSink), the
 /// StringTable batch path (format() per slot), RecordStream::push
-/// (StreamSink), and the string API's toShortest/toFixed (StringSink) are
-/// their instantiations.  toPrecision/toExponential live here too, so the
+/// (StreamSink), and the string API's toFixed (StringSink) are their
+/// instantiations; toShortest renders through format() into a stack
+/// buffer.  toPrecision/toExponential live here too, so the
 /// PrintOptions mapping and the special-value rendering exist once.
 ///
 //===----------------------------------------------------------------------===//
@@ -360,9 +361,13 @@ size_t dragon4::engine::formatFixed(T Value, int FractionDigits, char *Buffer,
 
 template <typename T>
 std::string dragon4::toShortest(T Value, const PrintOptions &Options) {
-  StringSink Out;
-  formatInto(Value, Options, threadScratch(), Out);
-  return std::move(Out.Out);
+  // Rendered on the stack and copied once, not grown a character at a
+  // time.  The bound only shrinks as the base grows, so base 2's covers
+  // every call.
+  char Buf[maxShortestBufferSize<T>(2)];
+  const size_t Len = format(Value, Buf, sizeof(Buf), Options, threadScratch());
+  D4_ASSERT(Len <= sizeof(Buf), "shortest output exceeded its bound");
+  return std::string(Buf, Len);
 }
 
 template <typename T>

@@ -10,9 +10,10 @@
 /// reusable Scratch -- Ryu digits, loop state, and BigInt limbs all come
 /// from warm storage, so a warmed-up conversion performs zero heap
 /// allocations even on the exact BigInt path.  The string API
-/// (toShortest/toFixed in format/dtoa.h) runs the same bodies into a
-/// StringSink on the calling thread's threadScratch(); only the returned
-/// string is allocated.
+/// (toShortest/toFixed in format/dtoa.h) runs the same bodies on the
+/// calling thread's threadScratch() -- toShortest through format() into a
+/// stack buffer, toFixed into a StringSink; only the returned string is
+/// allocated.
 ///
 /// The API is format-generic: one template pipeline, explicitly
 /// instantiated for all five supported formats (Binary16, float, double,
@@ -53,8 +54,8 @@ namespace dragon4::engine {
 /// past the capacity are dropped by the sink, never by the engine).  The
 /// public surfaces are instantiations of this one template: format() is
 /// formatInto over a BufferSink, RecordStream::push is formatInto over a
-/// StreamSink, toShortest is formatInto over a StringSink, and the
-/// StringTable batch path is format() per slot.
+/// StreamSink, toShortest copies a stack-buffer format() out once, and
+/// the StringTable batch path is format() per slot.
 template <typename T, typename W>
 size_t formatInto(T Value, const PrintOptions &Options, Scratch &S, W &Out);
 

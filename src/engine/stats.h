@@ -61,8 +61,9 @@ struct EngineStats {
   uint64_t VerifyMismatches = 0;
 
   /// Outcome counters maintained by the fast parser (src/parse/): calls
-  /// the Eisel-Lemire product decided (specials included), calls that
-  /// fell back to the exact bignum reader, and rejected (malformed)
+  /// the Eisel-Lemire product decided (specials included), calls an
+  /// exact comparison settled (the binary32/64 halfway comparison, or the
+  /// exact reader for the other formats), and rejected (malformed)
   /// inputs.  Hits + Fallbacks + Rejected == parseFloat calls.
   uint64_t FastParseHits = 0;
   uint64_t FastParseFallbacks = 0;

@@ -6,9 +6,10 @@
 ///
 /// \file
 /// The one-call public API most users want: value in, string out.
-/// toShortest and toFixed are StringSink instantiations of the engine's
-/// writer-generic bodies (engine::formatInto / formatFixedInto) on the
-/// calling thread's engine::threadScratch(), so they share the engine's
+/// toShortest and toFixed run the engine's writer-generic bodies
+/// (engine::formatInto / formatFixedInto) on the calling thread's
+/// engine::threadScratch() -- toShortest through engine::format into a
+/// stack buffer, toFixed into a StringSink -- so they share the engine's
 /// ladder, options mapping, and special-value rendering byte for byte.
 /// toPrecision and toExponential run the relative-position fixed
 /// conversion through the same mapping.  All four are defined in

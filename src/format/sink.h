@@ -11,7 +11,7 @@
 /// written once against this concept and the public surfaces differ only in
 /// where the bytes land:
 ///
-///   StringSink    toShortest/toFixed/formatPrintf: a growing std::string.
+///   StringSink    toFixed/formatPrintf: a growing std::string.
 ///   BufferSink    engine::format and every StringTable batch slot: a
 ///                 bounded caller buffer with snprintf-like counting --
 ///                 bytes past the capacity are dropped but counted, so
@@ -52,7 +52,7 @@ concept Sink = requires(S &W, const S &CW, char C, size_t N,
   { CW.written() } -> std::convertible_to<size_t>;
 };
 
-/// Growing std::string storage (the toShortest/toFixed/printf surface).
+/// Growing std::string storage (the toFixed/printf surface).
 struct StringSink {
   std::string Out;
 

@@ -15,9 +15,9 @@
 /// Without Fallback"): for any w < 2^64 the truncated 128-bit product is
 /// always sufficient to round correctly, so -- unlike the original
 /// algorithm -- there is no "too close to a midpoint, give up" exit.  The
-/// only residue left to the exact bignum reader is inputs whose decimal
-/// significand itself was truncated to 19 digits and whose bracketing
-/// values w and w+1 round differently (see parse.cpp).
+/// only residue is inputs whose decimal significand itself was truncated
+/// to 19 digits and whose bracketing values w and w+1 round differently;
+/// parse.cpp settles it with an exact halfway comparison.
 ///
 /// The result is the *biased* exponent and stored mantissa, i.e. the
 /// encoding fields themselves: Power2 == 0 with Mantissa == 0 is a signed
@@ -52,6 +52,9 @@ template <> struct ElParams<double> {
   /// round-to-even case (Lemire 2021, section 9).
   static constexpr int MinExponentRoundToEven = -4;
   static constexpr int MaxExponentRoundToEven = 23;
+  /// Significant digits of the longest decimal halfway point between two
+  /// neighbouring encodings: the residue's digit cap (parse.cpp).
+  static constexpr int HalfwayDigits = 768;
 };
 
 template <> struct ElParams<float> {
@@ -62,6 +65,7 @@ template <> struct ElParams<float> {
   static constexpr int LargestPowerOfTen = 38;
   static constexpr int MinExponentRoundToEven = -17;
   static constexpr int MaxExponentRoundToEven = 10;
+  static constexpr int HalfwayDigits = 113;
 };
 
 /// Encoding fields produced by the core (see file comment for the

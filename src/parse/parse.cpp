@@ -6,7 +6,7 @@
 ///
 /// \file
 /// parseFloat implementation: a single-pass decimal scanner feeding the
-/// Eisel-Lemire core, with the exact reader as the certified fallback.
+/// Eisel-Lemire core, with one exact halfway comparison for the residue.
 ///
 /// The scanner accumulates at most the first 19 significant digits into a
 /// uint64 (so w < 10^19 and the decisive zero/infinity exponent clamps in
@@ -15,8 +15,12 @@
 /// case the true value lies strictly between w*10^q and (w+1)*10^q.  Both
 /// brackets are run through the core; if they round to the same encoding,
 /// monotonicity of rounding makes that encoding correct for everything in
-/// between.  Only when they disagree -- the provably undecidable residue
-/// -- does the exact bignum reader run.
+/// between.  When they disagree -- the residue -- they are adjacent
+/// encodings, and the literal rounds to the upper one exactly when it lies
+/// above the halfway point between them (or on it, with an odd lower
+/// neighbour).  decideHalfway settles that with integer arithmetic on the
+/// stack: the literal's first HalfwayDigits significant digits, a sticky
+/// bit for the rest, against (2m+1) * 2^(e-1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +48,10 @@ struct DecimalScan {
   bool IsInfinity = false;
   bool IsNaN = false;
   size_t Consumed = 0;
+  /// Byte span of the significand: digits and at most one '.', leading
+  /// zeros included.  The halfway comparison rereads its digits.
+  size_t DigitsBegin = 0;
+  size_t DigitsEnd = 0;
 };
 
 constexpr int MaxFastDigits = 19; ///< 10^19 > 2^63: last width safe in u64.
@@ -91,6 +99,7 @@ bool scanDecimal(std::string_view Text, DecimalScan &Scan) {
   bool SawDigit = false;
   bool SawPoint = false;
   bool Truncated = false;
+  Scan.DigitsBegin = I;
   for (; I < N; ++I) {
     char C = Text[I];
     if (C == '.') {
@@ -117,6 +126,7 @@ bool scanDecimal(std::string_view Text, DecimalScan &Scan) {
   }
   if (!SawDigit)
     return false; // ".", "+", "e5", "" ... no literal at all.
+  Scan.DigitsEnd = I;
 
   int64_t ExplicitExp = 0;
   if (I < N && (Text[I] | 0x20) == 'e') {
@@ -179,17 +189,173 @@ void charge(engine::EngineStats *Stats, uint64_t engine::EngineStats::*Member) {
     ++(Stats->*Member);
 }
 
-/// The certified fallback: the scanned literal is by construction inside
-/// readFloat's (whole-string) grammar, so the exact reader must accept it.
+/// Encoding (sign clear) of the core's fields.  Compared as encodings, not
+/// field by field: on a carry into the smallest normal, eiselLemire's
+/// subnormal branch returns the hidden bit in Mantissa.
+template <typename T> uint64_t encodingOf(const AdjustedMantissa &Am) {
+  return Am.Mantissa | (uint64_t(Am.Power2) << ElParams<T>::StoredBits);
+}
+
+/// The digit cap, ElParams<T>::HalfwayDigits: a literal's significant
+/// digits past it can only tell whether the value is above a halfway
+/// point it agrees with so far, so they fold into one sticky bit.  A
+/// halfway point (2m+1) * 2^g with g < 0 is the odd integer (2m+1) * 5^-g
+/// over 10^-g, so all its digits are significant; the longest has the
+/// smallest g and 2m+1 = 2^(p+1) - 1 (binary64: (2^54 - 1) * 5^1075, 768
+/// digits; binary32: (2^25 - 1) * 5^150, 113).  Those with g >= 0 are
+/// integers below 2^1024, far shorter.  Every halfway point between the
+/// residue's brackets has its leading digit at the literal's, so it is an
+/// exact multiple of the unit of the literal's last kept digit and the
+/// truncated comparison is exact.  (fast_float keeps one more digit, 769
+/// and 114; the extra is not needed.)
+///
+/// The 64-bit limbs the comparison needs: both sides end up within a
+/// factor 1 + 10^-18 of each other, and each is below 2 * 10^cap -- the
+/// digit side because it has at most cap digits, the halfway side because
+/// the longest halfway point bounds (2m+1) * 5^k.  floor(cap * log2(10))
+/// + 2 bits hold that (3.3220 > log2(10)); every operation asserts it.
 template <typename T>
-void fallbackExact(std::string_view Literal, ParseResult<T> &Result,
-                   engine::EngineStats *Stats) {
-  std::optional<T> Exact = readFloat<T>(Literal);
-  D4_ASSERT(Exact.has_value(),
-            "scanned literal rejected by the exact reader");
-  Result.Value = *Exact;
-  Result.Path = ParsePath::ExactFallback;
-  charge(Stats, &engine::EngineStats::FastParseFallbacks);
+constexpr int HalfwayLimbs =
+    (ElParams<T>::HalfwayDigits * 33220 / 10000 + 2) / 64 + 1;
+static_assert(HalfwayLimbs<double> == 40 && HalfwayLimbs<float> == 6);
+
+/// Natural number in a fixed number of little-endian 64-bit limbs, on the
+/// stack: just the operations the halfway comparison uses.
+template <int Capacity> class StackNat {
+public:
+  explicit StackNat(uint64_t V) {
+    if (V)
+      Limb[Size++] = V;
+  }
+
+  /// *this = *this * M + A, for M > 0.
+  void mulAdd(uint64_t M, uint64_t A) {
+    uint64_t Carry = A;
+    for (int I = 0; I < Size; ++I) {
+      unsigned __int128 P =
+          static_cast<unsigned __int128>(Limb[I]) * M + Carry;
+      Limb[I] = static_cast<uint64_t>(P);
+      Carry = static_cast<uint64_t>(P >> 64);
+    }
+    if (Carry) {
+      D4_ASSERT(Size < Capacity, "halfway comparison exceeded its limbs");
+      Limb[Size++] = Carry;
+    }
+  }
+
+  /// *this *= 5^K, 5^27 (the largest power below 2^63) at a time.
+  void mulPow5(int64_t K) {
+    constexpr uint64_t Pow5Step = 7450580596923828125u; // 5^27.
+    for (; K >= 27; K -= 27)
+      mulAdd(Pow5Step, 0);
+    uint64_t Rest = 1;
+    for (; K > 0; --K)
+      Rest *= 5;
+    if (Rest > 1)
+      mulAdd(Rest, 0);
+  }
+
+  void shiftLeft(int64_t Bits) {
+    if (Size == 0 || Bits == 0)
+      return;
+    D4_ASSERT(Bits < int64_t(64) * Capacity,
+              "halfway comparison exceeded its limbs");
+    const int Whole = static_cast<int>(Bits / 64);
+    const int Part = static_cast<int>(Bits % 64);
+    const uint64_t Spill = Part ? Limb[Size - 1] >> (64 - Part) : 0;
+    const int NewSize = Size + Whole + (Spill != 0);
+    D4_ASSERT(NewSize <= Capacity, "halfway comparison exceeded its limbs");
+    if (Spill)
+      Limb[NewSize - 1] = Spill;
+    for (int I = Size - 1; I > 0; --I)
+      Limb[I + Whole] =
+          Part ? (Limb[I] << Part) | (Limb[I - 1] >> (64 - Part)) : Limb[I];
+    Limb[Whole] = Limb[0] << Part;
+    for (int I = 0; I < Whole; ++I)
+      Limb[I] = 0;
+    Size = NewSize;
+  }
+
+  friend int compare(const StackNat &A, const StackNat &B) {
+    if (A.Size != B.Size)
+      return A.Size < B.Size ? -1 : 1;
+    for (int I = A.Size; I-- > 0;)
+      if (A.Limb[I] != B.Limb[I])
+        return A.Limb[I] < B.Limb[I] ? -1 : 1;
+    return 0;
+  }
+
+private:
+  uint64_t Limb[Capacity] = {};
+  int Size = 0; ///< Limbs in use; the top one is non-zero.
+};
+
+/// The residue: the literal lies between the adjacent encodings Lower and
+/// Lower + 1, and rounds to the upper one when it exceeds the halfway
+/// point (2m+1) * 2^(e-1) between them, or equals it with m odd.
+template <typename T>
+AdjustedMantissa decideHalfway(std::string_view Text, const DecimalScan &Scan,
+                               uint64_t Lower) {
+  using Params = ElParams<T>;
+  using Nat = StackNat<HalfwayLimbs<T>>;
+
+  // The first HalfwayDigits significant digits, folded 19 at a time; any
+  // non-zero digit past them is the sticky bit.  The span holds only
+  // digits and at most one '.', and a non-zero digit (W > 0).
+  size_t I = Scan.DigitsBegin;
+  const size_t End = Scan.DigitsEnd;
+  while (Text[I] == '0' || Text[I] == '.')
+    ++I;
+  Nat Digits(0);
+  int Kept = 0;
+  uint64_t Chunk = 0;
+  uint64_t Scale = 1;
+  for (; I < End && Kept < Params::HalfwayDigits; ++I) {
+    if (Text[I] == '.')
+      continue;
+    Chunk = Chunk * 10 + static_cast<uint64_t>(Text[I] - '0');
+    Scale *= 10;
+    if (++Kept % MaxFastDigits == 0) {
+      Digits.mulAdd(Scale, Chunk);
+      Chunk = 0;
+      Scale = 1;
+    }
+  }
+  if (Scale > 1)
+    Digits.mulAdd(Scale, Chunk);
+  bool Sticky = false;
+  for (; I < End && !Sticky; ++I)
+    Sticky = Text[I] != '0' && Text[I] != '.';
+  // Scan.Q is the exponent of the 19th significant digit.
+  const int64_t P = Scan.Q + MaxFastDigits - Kept;
+
+  // Lower = m * 2^e, so the halfway point is (2m+1) * 2^(e-1).
+  constexpr uint64_t StoredMask = (uint64_t(1) << Params::StoredBits) - 1;
+  const int Power2 = static_cast<int>(Lower >> Params::StoredBits);
+  uint64_t M = Lower & StoredMask;
+  if (Power2 > 0)
+    M |= uint64_t(1) << Params::StoredBits;
+  const int64_t G = (Power2 > 0 ? Power2 : 1) + Params::MinimumExponent -
+                    Params::StoredBits - 1;
+  Nat Half(2 * M + 1);
+
+  // Digits * 10^P against Half * 2^G: the powers of five go to the side
+  // where they are positive, then the powers of two.
+  if (P >= 0)
+    Digits.mulPow5(P);
+  else
+    Half.mulPow5(-P);
+  if (P >= G)
+    Digits.shiftLeft(P - G);
+  else
+    Half.shiftLeft(G - P);
+  int Cmp = compare(Digits, Half);
+  if (Cmp == 0 && Sticky)
+    Cmp = 1;
+  const bool Up = Cmp > 0 || (Cmp == 0 && (M & 1) != 0);
+  const uint64_t Chosen = Lower + (Up ? 1 : 0);
+  return {Chosen & StoredMask,
+          static_cast<int32_t>(Chosen >> Params::StoredBits)};
 }
 
 template <typename T>
@@ -226,10 +392,17 @@ ParseResult<T> parseFloatImpl(std::string_view Text,
     AdjustedMantissa Am = eiselLemire<T>(Scan.Q, Scan.W);
     if (Scan.Truncated) {
       // The true value is in (W*10^Q, (W+1)*10^Q).  Rounding is monotone,
-      // so identical endpoint encodings decide the whole interval.
-      AdjustedMantissa Upper = eiselLemire<T>(Scan.Q, Scan.W + 1);
-      if (!(Am == Upper)) {
-        fallbackExact(Text.substr(0, Scan.Consumed), Result, Stats);
+      // so identical endpoint encodings decide the whole interval.  An
+      // interval 10^-18 wide holds at most one halfway point, so
+      // different ones are neighbours.
+      const uint64_t Lower = encodingOf<T>(Am);
+      const uint64_t Upper = encodingOf<T>(eiselLemire<T>(Scan.Q, Scan.W + 1));
+      if (Upper != Lower) {
+        D4_ASSERT(Upper == Lower + 1, "residue brackets are not adjacent");
+        Result.Value = SpecialBits<T>::compose(
+            Scan.Negative, decideHalfway<T>(Text, Scan, Lower));
+        Result.Path = ParsePath::ExactFallback;
+        charge(Stats, &engine::EngineStats::FastParseFallbacks);
         return Result;
       }
     }
@@ -239,8 +412,14 @@ ParseResult<T> parseFloatImpl(std::string_view Text,
     return Result;
   } else {
     // Non-hardware formats: no certified Eisel-Lemire parameters yet, so
-    // the whole literal (specials included) takes the exact reader.
-    fallbackExact(Text.substr(0, Scan.Consumed), Result, Stats);
+    // the whole literal (specials included) takes the exact reader.  It
+    // is by construction inside readFloat's whole-string grammar.
+    std::optional<T> Exact = readFloat<T>(Text.substr(0, Scan.Consumed));
+    D4_ASSERT(Exact.has_value(),
+              "scanned literal rejected by the exact reader");
+    Result.Value = *Exact;
+    Result.Path = ParsePath::ExactFallback;
+    charge(Stats, &engine::EngineStats::FastParseFallbacks);
     return Result;
   }
 }

@@ -7,12 +7,14 @@
 /// \file
 /// The production read side of the engine: parse::parseFloat<T> is a
 /// locale-free, allocation-free, correctly rounded (nearest-even) decimal
-/// parser.  binary32/64 run the Eisel-Lemire fast path (eisel_lemire.h);
-/// the certified fallback for everything the fast path provably cannot
-/// decide -- decimal significands truncated past 19 digits whose
-/// bracketing values round differently, and the non-hardware formats --
-/// is the exact bignum reader (reader/readFloat), so every outcome is
-/// correctly rounded by construction.
+/// parser.  binary32/64 run the Eisel-Lemire fast path (eisel_lemire.h).
+/// What it provably cannot decide -- decimal significands truncated past
+/// 19 digits whose bracketing values round differently -- is settled by
+/// one exact comparison of the literal's digits against the halfway point
+/// between the two candidate encodings, on fixed-size stack integers and
+/// in time linear in the literal's length.  The non-hardware formats take
+/// the exact bignum reader (reader/readFloat).  Every outcome is correctly
+/// rounded by construction.
 ///
 /// Unlike readFloat (verification-side, whole-string, throws nothing
 /// away), parseFloat consumes the longest valid literal prefix and
@@ -57,7 +59,8 @@ enum class ParseStatus : uint8_t {
 enum class ParsePath : uint8_t {
   None,          ///< Malformed input -- no conversion ran.
   Fast,          ///< The Eisel-Lemire product was decisive.
-  ExactFallback, ///< The exact bignum reader resolved it.
+  ExactFallback, ///< An exact comparison resolved it: the halfway
+                 ///< comparison (binary32/64) or the exact reader.
   Special,       ///< Zero / infinity / NaN literal; no arithmetic needed.
 };
 

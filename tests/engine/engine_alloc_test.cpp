@@ -261,16 +261,34 @@ TEST(EngineAlloc, AbiCallerScratchAllocatesNothingWhenWarm) {
 }
 
 TEST(EngineAlloc, AbiFromCharsFastPathAllocatesNothing) {
-  // The decisive Eisel-Lemire path: short shortest-form literals are
-  // always decidable, so parsing them back must allocate nothing.  (The
-  // documented exception -- the truncated-literal residue -- goes
-  // through the exact reader and may allocate.)
+  // Both parse paths of binary64 allocate nothing: Eisel-Lemire on the
+  // shortest-form literals, and the halfway comparison on the residue --
+  // decimal halfway points of 20 to 768 digits (2m+1 times 5^6 to 5^1075),
+  // on the tie and one sticky digit past the 768-digit cap above and
+  // below it, which its stack integers must hold.
   std::vector<std::string> Texts;
   for (double V : allocCorpus())
     if (V == V) // NaN text parses but its payload is not interesting here.
       Texts.push_back(toShortest(V));
+  SplitMix64 Rng(0xa110c003);
+  size_t Halfway = 0;
+  for (int K = 6; K <= 1075; K += 1 + K / 16) {
+    const uint64_t Lower =
+        (uint64_t(1076 - K) << 52) | (Rng.next() & ((uint64_t(1) << 52) - 1));
+    const DecimalLiteral Half = halfwayAbove<double>(Lower);
+    Texts.push_back(spellLiteral(Half, LiteralSpelling::Exponent));
+    Texts.push_back(spellLiteral(stickyAbove(Half, 770),
+                                 LiteralSpelling::Positional));
+    Texts.push_back(spellLiteral(stickyBelow(Half, 770),
+                                 LiteralSpelling::Scientific));
+    Halfway += 3;
+  }
   uint64_t Lo = 0, Hi = 0;
   size_t Consumed = 0;
+  engine::EngineStats Stats;
+  for (const std::string &T : Texts)
+    parse::parseFloat<double>(T, &Stats);
+  EXPECT_EQ(Stats.FastParseFallbacks, Halfway);
 
   for (const std::string &T : Texts) // Warm-up (none expected, but fair).
     dragon4_from_chars(DRAGON4_FORMAT_BINARY64, T.data(), T.size(), &Lo, &Hi,

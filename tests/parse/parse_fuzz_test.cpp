@@ -13,6 +13,12 @@
 /// boundary list (subnormal edge, overflow, inf/nan, long-digit fallback
 /// triggers) ride along with the same three-way check.
 ///
+/// The halfway sweep aims at the residue itself: the exact decimal
+/// halfway point between neighbouring encodings at every binary exponent
+/// of binary64 and binary32, on the tie and one sticky digit above and
+/// below it at positions around the digit cap, in three spellings, checked
+/// against readFloat and std::from_chars.
+///
 //===----------------------------------------------------------------------===//
 
 #include "parse/parse.h"
@@ -20,10 +26,12 @@
 #include "engine/stats.h"
 #include "fp/ieee_traits.h"
 #include "reader/reader.h"
+#include "testgen/halfway_literals.h"
 #include "testgen/random_floats.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -177,6 +185,155 @@ TEST(ParseFuzz, BoundaryCorpusThreeWay) {
   EXPECT_EQ(Stats.FastParseHits + Stats.FastParseFallbacks, 2u);
 }
 
+//===----------------------------------------------------------------------===//
+// The halfway sweep
+//===----------------------------------------------------------------------===//
+
+/// Significant digits of the longest halfway point, (2^(p+1) - 1) *
+/// 2^(MinExponent - 1): binary64's 2^54 - 1 times 5^1075 has 768 digits,
+/// binary32's 2^25 - 1 times 5^150 has 113.  The parser keeps exactly
+/// this many digits, so a sticky digit at Cap + 1 is the first one it
+/// folds away.
+template <typename T> constexpr int Cap = std::is_same_v<T, double> ? 768 : 113;
+
+/// readFloat's bignum search grows faster than quadratically with the
+/// literal's length, so it joins the check up to this size; longer
+/// literals are checked against std::from_chars alone.
+constexpr size_t ReaderLengthLimit = 2000;
+
+struct SweepTally {
+  uint64_t Literals = 0;
+  uint64_t Residue = 0;
+  uint64_t Mismatches = 0;
+};
+
+/// parseFloat vs std::from_chars (and readFloat when short enough).
+template <typename T>
+void expectHalfwayAgreement(const std::string &Text, SweepTally &Tally) {
+  using Traits = IeeeTraits<T>;
+  ++Tally.Literals;
+  ParseResult<T> Fast = parseFloat<T>(Text);
+  ASSERT_TRUE(Fast.ok() && Fast.Consumed == Text.size())
+      << Text.substr(0, 80);
+  if (Fast.Path == ParsePath::ExactFallback)
+    ++Tally.Residue;
+  const uint64_t Got = Traits::toBits(Fast.Value);
+  bool Whole = false;
+  const uint64_t Want = fromCharsBits<T>(Text, Whole);
+  bool Agree = Whole && Got == Want;
+  if (Text.size() <= ReaderLengthLimit) {
+    std::optional<T> Exact = readFloat<T>(Text);
+    Agree = Agree && Exact && Traits::toBits(*Exact) == Want;
+  }
+  if (!Agree && ++Tally.Mismatches <= 10)
+    ADD_FAILURE() << "halfway literal (" << Text.size() << " bytes) \""
+                  << Text.substr(0, 120) << (Text.size() > 120 ? "..." : "")
+                  << "\": parseFloat 0x" << std::hex << Got
+                  << ", std::from_chars 0x" << Want;
+}
+
+/// Every literal the sweep derives from the halfway point above Lower:
+/// the tie in all three spellings, then one sticky digit above and below
+/// it at significant position 20, Cap - 1, Cap, Cap + 1 and far past the
+/// cap (wherever that lies beyond the point's own digits), each in one
+/// spelling chosen by position.
+template <typename T>
+void sweepHalfwayPoint(uint64_t Lower, SweepTally &Tally) {
+  const DecimalLiteral Half = halfwayAbove<T>(Lower);
+  for (LiteralSpelling S :
+       {LiteralSpelling::Exponent, LiteralSpelling::Scientific,
+        LiteralSpelling::Positional})
+    expectHalfwayAgreement<T>(spellLiteral(Half, S), Tally);
+  const size_t Positions[] = {20, Cap<T> - 1, Cap<T>, Cap<T> + 1,
+                              Cap<T> + 2500};
+  int Rotation = static_cast<int>(Lower % 3);
+  for (size_t Pos : Positions) {
+    if (Pos <= Half.Digits.size())
+      continue;
+    const auto S = static_cast<LiteralSpelling>(Rotation++ % 3);
+    expectHalfwayAgreement<T>(spellLiteral(stickyAbove(Half, Pos), S), Tally);
+    expectHalfwayAgreement<T>(spellLiteral(stickyBelow(Half, Pos), S), Tally);
+  }
+}
+
+/// All biased exponents from 0 (subnormals) to the largest finite one,
+/// each at the binade edges -- mantissa 0, 1, max - 1, max (whose upper
+/// neighbour opens the next binade, or is infinity: the overflow
+/// threshold) -- and one random mantissa.
+template <typename T> SweepTally sweepEveryExponent(uint64_t Seed) {
+  using Traits = IeeeTraits<T>;
+  constexpr uint64_t MaxStored = (uint64_t(1) << Traits::StoredBits) - 1;
+  constexpr uint64_t MaxBiased = (uint64_t(1) << Traits::ExponentBitCount) - 2;
+  SplitMix64 Rng(Seed);
+  SweepTally Tally;
+  for (uint64_t Biased = 0; Biased <= MaxBiased; ++Biased) {
+    const uint64_t Mantissas[] = {0, 1, Rng.next() & MaxStored,
+                                  MaxStored - 1, MaxStored};
+    for (uint64_t M : Mantissas) {
+      sweepHalfwayPoint<T>((Biased << Traits::StoredBits) | M, Tally);
+      if (Tally.Mismatches > 10)
+        return Tally;
+    }
+  }
+  return Tally;
+}
+
+TEST(ParseHalfway, LongestHalfwayPointsHaveCapDigits) {
+  // The top of the lowest normal binade has the longest halfway point;
+  // its neighbour below has the same length with the other parity, so
+  // the tie goes up at one and down at the other.  Both are decided by
+  // their last digit, which a cap one digit short would fold into the
+  // sticky bit (and then round the odd tie down).
+  for (uint64_t Lower : {(uint64_t(2) << 52) - 1, (uint64_t(2) << 52) - 2}) {
+    EXPECT_EQ(halfwayAbove<double>(Lower).Digits.size(), 768u);
+    SweepTally Tally;
+    sweepHalfwayPoint<double>(Lower, Tally);
+    EXPECT_EQ(Tally.Mismatches, 0u);
+  }
+  for (uint64_t Lower : {(uint64_t(2) << 23) - 1, (uint64_t(2) << 23) - 2}) {
+    EXPECT_EQ(halfwayAbove<float>(Lower).Digits.size(), 113u);
+    SweepTally Tally;
+    sweepHalfwayPoint<float>(Lower, Tally);
+    EXPECT_EQ(Tally.Mismatches, 0u);
+  }
+  // No halfway point of either format is longer (the top mantissa of a
+  // binade has the binade's longest).
+  size_t Longest = 0;
+  for (uint64_t Biased = 0; Biased < 0x7FF; ++Biased)
+    Longest = std::max(Longest,
+                       halfwayAbove<double>((Biased << 52) | ((1ull << 52) - 1))
+                           .Digits.size());
+  EXPECT_EQ(Longest, 768u);
+  Longest = 0;
+  for (uint64_t Biased = 0; Biased < 0xFF; ++Biased)
+    Longest = std::max(Longest,
+                       halfwayAbove<float>((Biased << 23) | ((1ull << 23) - 1))
+                           .Digits.size());
+  EXPECT_EQ(Longest, 113u);
+}
+
+TEST(ParseHalfway, EveryBinary64ExponentAgreesWithFromChars) {
+  SweepTally Tally = sweepEveryExponent<double>(FuzzSeed + 2);
+  EXPECT_EQ(Tally.Mismatches, 0u);
+  // Ties and near ties past 19 digits are the residue by construction;
+  // the short integer ties near 2^53..2^63 are Eisel-Lemire's.
+  EXPECT_GT(Tally.Residue, Tally.Literals * 9 / 10);
+  std::printf("[ParseHalfway] binary64: %llu literals, %llu on the "
+              "halfway comparison\n",
+              static_cast<unsigned long long>(Tally.Literals),
+              static_cast<unsigned long long>(Tally.Residue));
+}
+
+TEST(ParseHalfway, EveryBinary32ExponentAgreesWithFromChars) {
+  SweepTally Tally = sweepEveryExponent<float>(FuzzSeed + 3);
+  EXPECT_EQ(Tally.Mismatches, 0u);
+  EXPECT_GT(Tally.Residue, Tally.Literals * 3 / 4);
+  std::printf("[ParseHalfway] binary32: %llu literals, %llu on the "
+              "halfway comparison\n",
+              static_cast<unsigned long long>(Tally.Literals),
+              static_cast<unsigned long long>(Tally.Residue));
+}
+
 TEST(ParseFuzz, InfNanSpellingsAgreeWithReader) {
   // Specials: parseFloat and readFloat agree on class and sign (libc is
   // left out -- NaN payload bits are implementation traffic).
@@ -189,8 +346,9 @@ TEST(ParseFuzz, InfNanSpellingsAgreeWithReader) {
     ASSERT_TRUE(Exact.has_value());
     EXPECT_EQ(classify(Fast.Value), classify(*Exact));
     // NaN is sign-canonicalized by the reader; infinities must agree.
-    if (classify(Fast.Value) != FpClass::NaN)
+    if (classify(Fast.Value) != FpClass::NaN) {
       EXPECT_EQ(signBit(Fast.Value), signBit(*Exact));
+    }
   }
 }
 

@@ -18,13 +18,20 @@
 ///   * round-trip: shortest decimal output parses back to the identical
 ///     encoding through dragon4_from_chars AND parse::parseFloat
 ///     (decimal output with the default marker only -- other bases and
-///     markers are outside the parser's grammar).
+///     markers are outside the parser's grammar);
+///   * binary32/64 halfway literals: the exact decimal halfway point
+///     above the case's encoding -- on the tie, or one sticky digit above
+///     or below it, in one of three spellings, all picked by case index --
+///     reads the same through dragon4_from_chars as through
+///     std::from_chars.
 ///
 /// Same seed, same cases: a reported failure prints a one-line
 /// reproducer (format, bits, option bytes, case index).  Half of the
 /// extended80 cases draw their exponent inside the Ryu window, the rest
 /// over the whole range; the summary line counts the extended80 cases
-/// each rung of the shortest ladder served.
+/// each rung of the shortest ladder served, and the binary32/64 literals
+/// parseFloat decided by Eisel-Lemire (fast) and by the halfway
+/// comparison (fallback).
 ///
 ///   fuzz_to_chars [--cases=N] [--seed=S]
 ///
@@ -36,6 +43,7 @@
 
 #include "dragon4.h"
 #include "engine/stream.h"
+#include "parse/eisel_lemire.h"
 
 #include <cinttypes>
 #include <cstdio>
@@ -62,6 +70,19 @@ int Failures = 0;
 /// Extended80 shortest conversions served by Ryu and by the exact loop.
 uint64_t Extended80Ryu = 0;
 uint64_t Extended80Exact = 0;
+
+/// Binary32/64 literals parseFloat settled on each path.
+uint64_t ParsedFast = 0;
+uint64_t ParsedFallback = 0;
+
+template <typename T> void countParsePath(const parse::ParseResult<T> &R) {
+  if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
+    if (R.Path == parse::ParsePath::ExactFallback)
+      ++ParsedFallback;
+    else
+      ++ParsedFast;
+  }
+}
 
 void reportFailure(const Reproducer &R, const char *What,
                    const std::string &Got, const std::string &Want) {
@@ -210,6 +231,7 @@ void fuzzOne(const Reproducer &R, eng::Scratch &S) {
       return;
     }
     parse::ParseResult<T> Parsed = parse::parseFloat<T>(Reference);
+    countParsePath(Parsed);
     uint64_t PLo = 0, PHi = 0;
     FormatTraits<T>::encodingBits(Parsed.Value, PLo, PHi);
     if (!Parsed.ok() || PLo != R.Lo || PHi != R.Hi) {
@@ -275,6 +297,48 @@ void fuzzOne(const Reproducer &R, eng::Scratch &S) {
       return;
     }
   }
+}
+
+/// The halfway point above the case's encoding (sign aside), moved per
+/// case index: tie, sticky above or sticky below, at significant position
+/// 20, one before or after the parser's digit cap or 4000 past it,
+/// spelled three ways.
+template <typename T> void fuzzHalfway(const Reproducer &R) {
+  using Traits = IeeeTraits<T>;
+  const dragon4_format Format = R.Format;
+  const uint64_t SignBit = uint64_t(1)
+                           << (Traits::StoredBits + Traits::ExponentBitCount);
+  const uint64_t Infinity = ((SignBit >> Traits::StoredBits) - 1)
+                            << Traits::StoredBits;
+  const uint64_t Lower = R.Lo & ~SignBit;
+  if (Lower >= Infinity)
+    return;
+  const int Cap = parse::ElParams<T>::HalfwayDigits;
+  DecimalLiteral D = halfwayAbove<T>(Lower);
+  const size_t Positions[] = {20, size_t(Cap - 1), size_t(Cap + 1),
+                              size_t(Cap + 4000)};
+  size_t Pos = Positions[(R.CaseIndex / 3) % 4];
+  if (Pos <= D.Digits.size())
+    Pos = D.Digits.size() + 1;
+  if (R.CaseIndex % 3 == 1)
+    D = stickyAbove(D, Pos);
+  else if (R.CaseIndex % 3 == 2)
+    D = stickyBelow(D, Pos);
+  std::string Text = (R.Lo & SignBit ? "-" : "") +
+                     spellLiteral(D, static_cast<LiteralSpelling>(
+                                         (R.CaseIndex / 12) % 3));
+  bool Whole = false;
+  const uint64_t Want = fromCharsBits<T>(Text, Whole);
+  uint64_t Lo = 0, Hi = 0;
+  size_t Consumed = 0;
+  if (!Whole || dragon4_from_chars(Format, Text.data(), Text.size(), &Lo,
+                                   &Hi, &Consumed) != DRAGON4_OK ||
+      Consumed != Text.size() || Lo != Want) {
+    reportFailure(R, "halfway literal: dragon4_from_chars vs std::from_chars",
+                  "lo=" + std::to_string(Lo), "lo=" + std::to_string(Want));
+    return;
+  }
+  countParsePath(parse::parseFloat<T>(Text));
 }
 
 } // namespace
@@ -345,10 +409,12 @@ int main(int Argc, char **Argv) {
       R.Lo &= 0xFFFFFFFF;
       R.Hi = 0;
       fuzzOne<float>(R, S);
+      fuzzHalfway<float>(R);
       break;
     case DRAGON4_FORMAT_BINARY64:
       R.Hi = 0;
       fuzzOne<double>(R, S);
+      fuzzHalfway<double>(R);
       break;
     case DRAGON4_FORMAT_EXTENDED80: {
       // Half the exponents inside the Ryu window (a uniform 15-bit draw
@@ -391,7 +457,10 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   std::printf("fuzz_to_chars: %" PRIu64 " case(s) clean, seed 0x%" PRIx64
-              "; extended80 by rung: ryu=%" PRIu64 " exact=%" PRIu64 "\n",
-              Cases, Seed, Extended80Ryu, Extended80Exact);
+              "; extended80 by rung: ryu=%" PRIu64 " exact=%" PRIu64
+              "; binary32/64 from_chars by path: fast=%" PRIu64
+              " fallback=%" PRIu64 "\n",
+              Cases, Seed, Extended80Ryu, Extended80Exact, ParsedFast,
+              ParsedFallback);
   return 0;
 }
