@@ -96,8 +96,3 @@ uint32_t *dragon4::detail::allocateLimbs(size_t Count, bool &FromArena) {
   ++HeapAllocCount;
   return static_cast<uint32_t *>(::operator new(Count * sizeof(uint32_t)));
 }
-
-void dragon4::detail::deallocateLimbs(uint32_t *Ptr, bool FromArena) {
-  if (!FromArena)
-    ::operator delete(Ptr);
-}

@@ -31,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 namespace dragon4 {
@@ -124,8 +125,13 @@ namespace detail {
 uint32_t *allocateLimbs(size_t Count, bool &FromArena);
 
 /// Releases storage obtained from allocateLimbs.  Arena-backed storage is
-/// a no-op (the arena reclaims it wholesale on reset).
-void deallocateLimbs(uint32_t *Ptr, bool FromArena);
+/// a no-op (the arena reclaims it wholesale on reset).  Inline, and null
+/// storage skips the call: every BigInt move and destruction comes here,
+/// and most of them release nothing.
+inline void deallocateLimbs(uint32_t *Ptr, bool FromArena) {
+  if (!FromArena && Ptr)
+    ::operator delete(Ptr);
+}
 
 } // namespace detail
 

@@ -30,7 +30,6 @@
 #include "support/checks.h"
 
 #include <span>
-#include <type_traits>
 
 using namespace dragon4;
 using namespace dragon4::engine;
@@ -228,23 +227,6 @@ size_t dragon4::engine::formatInto(T Value, const PrintOptions &Options,
     Negative = signBit(Value);
   }
 
-  // All BigInt limbs below come from the Scratch arena; the scope rewinds
-  // it on every exit path.  Wide mantissas (DecomposedBig's BigInt) live
-  // inside the scope so their limbs are arena-backed too -- D is declared
-  // after Scope and therefore destroyed before the arena rewinds.
-  ConversionScope Scope(S);
-
-  using DecompT =
-      std::conditional_t<Format::WideMantissa, DecomposedBig, Decomposed>;
-  DecompT D;
-  {
-    D4_PROF_SPAN(Decompose);
-    if constexpr (Format::WideMantissa)
-      D = decomposeBig(Value);
-    else
-      D = decompose(Value);
-  }
-
   std::span<const uint8_t> Digits;
   int K = 0;
   // Two rungs: Ryu for base-10 symmetric reader models on binary16/32/64
@@ -253,14 +235,20 @@ size_t dragon4::engine::formatInto(T Value, const PrintOptions &Options,
   // certify (see ryu.h).  The RyuPath phase span lives inside
   // ryuShortestInto.
   bool Ryu = false;
-  if constexpr (!Format::WideMantissa && Format::RyuCertified) {
+  [[maybe_unused]] Decomposed D;
+  if constexpr (!Format::WideMantissa) {
+    {
+      D4_PROF_SPAN(Decompose);
+      D = decompose(Value);
+    }
     bool AcceptBounds = false;
-    if (D.E >= Format::RyuMinExponent && D.E <= Format::RyuMaxExponent &&
-        ryuEligible(Options.Base, Options.Boundaries, (D.F & 1) == 0,
-                    AcceptBounds))
-      Ryu = ryuShortestInto(D.F, D.E, Traits::Precision, Traits::MinExponent,
-                            AcceptBounds, Options.Ties,
-                            ScratchAccess::ryuDigits(S), K);
+    if constexpr (Format::RyuCertified)
+      if (D.E >= Format::RyuMinExponent && D.E <= Format::RyuMaxExponent &&
+          ryuEligible(Options.Base, Options.Boundaries, (D.F & 1) == 0,
+                      AcceptBounds))
+        Ryu = ryuShortestInto(D.F, D.E, Traits::Precision,
+                              Traits::MinExponent, AcceptBounds, Options.Ties,
+                              ScratchAccess::ryuDigits(S), K);
   }
   if (Ryu) {
     ++Stats.RyuHits;
@@ -277,14 +265,30 @@ size_t dragon4::engine::formatInto(T Value, const PrintOptions &Options,
     ++Stats.SlowPathDirect;
     Frame.setPath(obs::Path::SlowDirect);
     DigitLoopResult &Loop = ScratchAccess::loop(S);
-    if constexpr (Format::WideMantissa)
-      K = freeFormatDigitsBigInto(D.F, D.E, Traits::Precision,
-                                  Traits::MinExponent,
-                                  freeOptionsFrom(Options), Loop);
-    else
-      K = freeFormatDigitsInto(D.F, D.E, Traits::Precision,
-                               Traits::MinExponent, freeOptionsFrom(Options),
-                               Loop);
+    {
+      // The exact loop is the only code here that touches a BigInt, so it
+      // alone installs the arena; the scope rewinds it on exit.  A wide
+      // mantissa (DecomposedBig's BigInt) is decomposed inside the scope
+      // so its limbs are arena-backed too: Big is declared after Scope
+      // and therefore destroyed before the arena rewinds.  The digits land
+      // in Loop.Digits, which is not arena storage.
+      ConversionScope Scope(S);
+      if constexpr (Format::WideMantissa) {
+        DecomposedBig Big;
+        {
+          D4_PROF_SPAN(Decompose);
+          Big = decomposeBig(Value);
+        }
+        K = freeFormatDigitsBigInto(Big.F, Big.E, Traits::Precision,
+                                    Traits::MinExponent,
+                                    freeOptionsFrom(Options), Loop);
+      } else {
+        K = freeFormatDigitsInto(D.F, D.E, Traits::Precision,
+                                 Traits::MinExponent,
+                                 freeOptionsFrom(Options), Loop);
+      }
+    }
+    S.syncArenaStats();
     Digits = Loop.Digits;
     recordSlowDigits(Stats, Digits.size());
   }
@@ -296,7 +300,6 @@ size_t dragon4::engine::formatInto(T Value, const PrintOptions &Options,
     render_detail::renderAutoInto(Out, Digits, K, /*TrailingMarks=*/0,
                                   Negative, renderOptionsFrom(Options));
   }
-  S.syncArenaStats();
   return Frame.finish(Value, Out, Start, Stats);
 }
 

@@ -8,10 +8,13 @@
 /// The engine's reusable workspace: a limb arena for every BigInt the
 /// conversion core touches, the digit-loop result whose digit storage is
 /// recycled across calls, a digit buffer for the Ryu rung, the fixed
-/// path's positional result, and the counters block.  One Scratch belongs to one thread at a time;
-/// engine::format installs its arena for the duration of a conversion and
-/// rewinds it afterwards, so after a warm-up call conversions perform zero
-/// heap allocations on the slow (BigInt) path.
+/// path's positional result, and the counters block.  One Scratch belongs
+/// to one thread at a time.  The engine installs the arena only around
+/// code that makes BigInts -- the exact shortest loop (binary128's
+/// decomposition included) and the fixed path -- and rewinds it
+/// afterwards, so after a warm-up call conversions perform zero heap
+/// allocations on the slow (BigInt) path, and Ryu conversions never touch
+/// the arena at all.
 ///
 /// Thread-safety contract: a Scratch must not be shared between threads
 /// concurrently.  BatchEngine owns one Scratch per worker; single-threaded
@@ -103,8 +106,9 @@ private:
   uint64_t BlockAllocsDrained = 0; ///< Arena blocks already reported.
 };
 
-/// RAII for one conversion: installs the Scratch's arena on entry, rewinds
-/// it on exit.  Internal to the engine implementation, exposed for the
+/// RAII for one BigInt computation: installs the Scratch's arena on entry,
+/// rewinds it on exit.  Every BigInt made inside must die before the
+/// scope does.  Internal to the engine implementation, exposed for the
 /// allocation tests.
 class ConversionScope {
 public:

@@ -47,6 +47,9 @@
 #include "support/checks.h"
 #include "support/testhooks.h"
 
+#include <array>
+#include <bit>
+
 using namespace dragon4;
 using parse::Pow5Entry;
 using parse::pow5Entry;
@@ -141,48 +144,56 @@ inline uint128 mulShift(uint128 M, const Pow5Entry &Pow, int Shift,
   return (Top << (64 - S)) | (P1 >> S);
 }
 
-inline int decimalLength(uint64_t V) {
-  int Length = 1;
-  while (V >= 10) {
-    V /= 10;
-    ++Length;
+/// 10^0 .. 10^19, the decimal digit-count thresholds of a uint64_t.
+constexpr auto Pow10 = [] {
+  std::array<uint64_t, 20> Table{};
+  uint64_t Power = 1;
+  for (uint64_t &Entry : Table) {
+    Entry = Power;
+    Power *= 10;
   }
-  return Length;
+  return Table;
+}();
+
+/// Decimal digits in V >= 1: floor(log10 V) + 1, estimated from the bit
+/// width (1233 / 4096 ~ log10 2, never over) and settled by one table
+/// comparison.
+inline int decimalLength(uint64_t V) {
+  const int Guess = (std::bit_width(V) * 1233) >> 12;
+  return Guess + (V >= Pow10[static_cast<size_t>(Guess)]);
 }
 
-/// Stores the decimal digits of \p Output into \p Digits; returns their
-/// count.  Emission goes through the unified render core's digit store,
-/// which honors the CI regression self-test's synthetic per-digit
-/// slowdown so the planted regression stays visible now that Ryu fronts
-/// the conversion.
+/// Stores the decimal digits of \p Output into \p Digits (resized, never
+/// cleared: every position is overwritten); returns their count.
+/// Emission goes through the unified render core's digit store, which
+/// honors the CI regression self-test's synthetic per-digit slowdown so
+/// the planted regression stays visible now that Ryu fronts the
+/// conversion.
 inline int storeOutput(uint64_t Output, std::vector<uint8_t> &Digits) {
   const int Length = decimalLength(Output);
-  render_detail::storeDecimalDigits(Output, Length, Digits);
+  Digits.resize(static_cast<size_t>(Length));
+  render_detail::storeDecimalDigits(Output, Length, Digits.data());
   return Length;
 }
 
 /// The 128-bit carrier's output can exceed 2^64 (up to 21 digits; it is
 /// at most vp < 2^73).  Split off the low 19 digits with one 64-bit
 /// division -- 10^19 = 2^19 * 5^19 and Output >> 19 < 2^54 -- so no
-/// 128-bit division runs per digit.  The store writes all Length
-/// positions (the head ones as zeros) so the per-digit slowdown counts
-/// every digit once; the head digits then overwrite the leading zeros.
+/// 128-bit division runs per digit; the tail is stored at its fixed
+/// width, leading zeros included.
 inline int storeOutput(uint128 Output, std::vector<uint8_t> &Digits) {
   if (Output >> 64 == 0)
     return storeOutput(static_cast<uint64_t>(Output), Digits);
   constexpr uint64_t Pow5To19 = 19073486328125;
   constexpr uint64_t Pow10To19 = 10000000000000000000u;
-  uint64_t Head = static_cast<uint64_t>(Output >> 19) / Pow5To19;
+  const uint64_t Head = static_cast<uint64_t>(Output >> 19) / Pow5To19;
   const uint64_t Tail =
       static_cast<uint64_t>(Output - static_cast<uint128>(Head) * Pow10To19);
   const int HeadLength = decimalLength(Head);
-  const int Length = HeadLength + 19;
-  render_detail::storeDecimalDigits(Tail, Length, Digits);
-  for (int Index = HeadLength - 1; Index >= 0; --Index) {
-    Digits[static_cast<size_t>(Index)] = static_cast<uint8_t>(Head % 10);
-    Head /= 10;
-  }
-  return Length;
+  Digits.resize(static_cast<size_t>(HeadLength + 19));
+  render_detail::storeDecimalDigits(Head, HeadLength, Digits.data());
+  render_detail::storeDecimalDigits(Tail, 19, Digits.data() + HeadLength);
+  return HeadLength + 19;
 }
 
 /// The Ryu body over \p Carrier.  Returns false only when the 128-bit
@@ -332,14 +343,29 @@ bool ryuDigits(uint64_t F, int E, int Precision, int MinExponent,
                    LastRemovedDigit >= 5);
   } else {
     // Common case: nothing is exact, so no tie can occur and only
-    // "removed at least one half" matters.
+    // "removed at least one half" matters.  Digits go two per step while
+    // the interval spans a full hundred: floor(floor(x/10)/10) =
+    // floor(x/100), so a step is exactly two one-digit steps, and the
+    // round-up digit is the tens digit of the removed pair.  Once a
+    // hundred no longer fits, at most one more digit can go.
     bool RoundUp = false;
     for (;;) {
-      const Carrier VpDiv10 = Vp / 10;
-      const Carrier VmDiv10 = Vm / 10;
-      if (FlipBound ? (VpDiv10 < VmDiv10 || VpDiv10 == 0)
-                    : VpDiv10 <= VmDiv10)
+      const Carrier VpDiv100 = Vp / 100;
+      const Carrier VmDiv100 = Vm / 100;
+      if (FlipBound ? (VpDiv100 < VmDiv100 || VpDiv100 == 0)
+                    : VpDiv100 <= VmDiv100)
         break;
+      const Carrier VrDiv100 = Vr / 100;
+      RoundUp = Vr - 100 * VrDiv100 >= 50;
+      Vr = VrDiv100;
+      Vp = VpDiv100;
+      Vm = VmDiv100;
+      Removed += 2;
+    }
+    const Carrier VpDiv10 = Vp / 10;
+    const Carrier VmDiv10 = Vm / 10;
+    if (FlipBound ? (VpDiv10 >= VmDiv10 && VpDiv10 != 0)
+                  : VpDiv10 > VmDiv10) {
       const Carrier VrDiv10 = Vr / 10;
       RoundUp = Vr - 10 * VrDiv10 >= 5;
       Vr = VrDiv10;

@@ -38,8 +38,7 @@ template <Sink W>
 void emitPadded(W &Out, std::string_view Sign, std::string_view Body,
                 const PrintfSpec &Spec, bool AllowZeroPad) {
   auto putText = [&Out](std::string_view Text) {
-    for (char C : Text)
-      Out.put(C);
+    Out.write(Text.data(), Text.size());
   };
   size_t Have = Sign.size() + Body.size();
   size_t Want = static_cast<size_t>(Spec.Width > 0 ? Spec.Width : 0);

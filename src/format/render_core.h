@@ -10,12 +10,14 @@
 /// std::string renderers in render.cpp, the zero-allocation char-buffer
 /// engine, the fixed-stride StringTable batch slots, and the push-style
 /// RecordStream -- emits byte-identical text from the same code instead of
-/// hand-kept twins.
+/// hand-kept twins.  Each digit run, mark run, zero pad and exponent goes
+/// to the sink as one block: digit values are converted through a small
+/// stack chunk with the digit table chosen once per call.
 ///
 /// The digit side is shared too: storeDecimalDigits() is the single
-/// uint64->digit-array emitter, used both by Ryu's emission loop and by any
-/// future fast path, so the CI regression self-test's synthetic per-digit
-/// spin hook is honored in exactly one place.
+/// uint64->digit-array emitter, used by Ryu's emission for both of its
+/// carriers, so the CI regression self-test's synthetic per-digit spin
+/// hook is honored in exactly one place on the fast-path side.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,67 +29,95 @@
 #include "support/checks.h"
 #include "support/testhooks.h"
 
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <span>
-#include <vector>
 
 namespace dragon4::render_detail {
 
-inline char digitChar(uint8_t Value, bool Uppercase) {
-  static const char Lower[] = "0123456789abcdefghijklmnopqrstuvwxyz";
-  static const char Upper[] = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ";
-  return Uppercase ? Upper[Value] : Lower[Value];
-}
+/// The values 00..99 as pairs of digit values (tens, units): 200 bytes,
+/// so a store peels two digits per division.
+inline constexpr std::array<uint8_t, 200> DigitPairs = [] {
+  std::array<uint8_t, 200> Pairs{};
+  for (int I = 0; I < 100; ++I) {
+    Pairs[static_cast<size_t>(2 * I)] = static_cast<uint8_t>(I / 10);
+    Pairs[static_cast<size_t>(2 * I + 1)] = static_cast<uint8_t>(I % 10);
+  }
+  return Pairs;
+}();
 
-/// Stores the \p Length base-10 digits of \p Value into \p Digits, most
-/// significant first (Digits is cleared; capacity is reused, so a warm
-/// vector allocates nothing).  The one place the CI regression self-test's
+/// Stores the low \p Length base-10 digits of \p Value into
+/// Out[0..Length), most significant first, leading zeros included, two per
+/// step from DigitPairs.  The one place the CI regression self-test's
 /// synthetic per-digit slowdown (testhooks::DigitLoopSyntheticSpinPerDigit)
-/// is honored on the fast-path side, mirroring the exact digit loop's
-/// injection point -- volatile so the spin survives -O2.
-inline void storeDecimalDigits(uint64_t Value, int Length,
-                               std::vector<uint8_t> &Digits) {
-  Digits.clear();
-  Digits.resize(static_cast<size_t>(Length));
-  for (int Index = Length - 1; Index >= 0; --Index) {
-    if (unsigned Spin = testhooks::DigitLoopSyntheticSpinPerDigit)
-        [[unlikely]] {
-      [[maybe_unused]] volatile unsigned Observed = 0;
-      for (unsigned I = 0; I < Spin; ++I) {
+/// is honored on the fast-path side, once per stored digit, mirroring the
+/// exact digit loop's injection point -- volatile so the spin survives -O2.
+inline void storeDecimalDigits(uint64_t Value, int Length, uint8_t *Out) {
+  if (unsigned Spin = testhooks::DigitLoopSyntheticSpinPerDigit)
+      [[unlikely]] {
+    [[maybe_unused]] volatile unsigned Observed = 0;
+    for (int Digit = 0; Digit < Length; ++Digit)
+      for (unsigned I = 0; I < Spin; ++I)
         Observed = I;
-      }
-    }
-    Digits[static_cast<size_t>(Index)] = static_cast<uint8_t>(Value % 10);
-    Value /= 10;
   }
+  int Index = Length;
+  for (; Index >= 2; Index -= 2) {
+    const uint64_t Rest = Value / 100;
+    std::memcpy(Out + Index - 2, &DigitPairs[2 * (Value - 100 * Rest)], 2);
+    Value = Rest;
+  }
+  if (Index == 1)
+    Out[0] = static_cast<uint8_t>(Value % 10);
 }
 
-/// Symbol for output position \p Index (0-based from the most significant
-/// end): a digit, or the mark character past the digits.
+/// Digit value -> character: the table for the options' letter case.
+inline const char *digitTable(const RenderOptions &Options) {
+  static constexpr char Lower[] = "0123456789abcdefghijklmnopqrstuvwxyz";
+  static constexpr char Upper[] = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+  return Options.UppercaseDigits ? Upper : Lower;
+}
+
+/// Output positions [From, To) (0-based from the most significant end):
+/// digits while they last, then the options' mark character.  Digits go
+/// through a stack chunk, one block write per chunk; the marks are one
+/// fill.
 template <Sink Writer>
-void putPosition(Writer &W, std::span<const uint8_t> Digits, int Index,
-                 const RenderOptions &Options) {
-  if (Index < static_cast<int>(Digits.size())) {
-    W.put(digitChar(Digits[static_cast<size_t>(Index)],
-                    Options.UppercaseDigits));
-    return;
+void putPositions(Writer &W, std::span<const uint8_t> Digits, int From,
+                  int To, const char *Table, char Mark) {
+  const int Stored = static_cast<int>(Digits.size());
+  if (From < Stored) {
+    const int Last = To < Stored ? To : Stored;
+    char Chunk[64];
+    while (From < Last) {
+      const int Count = Last - From < static_cast<int>(sizeof(Chunk))
+                            ? Last - From
+                            : static_cast<int>(sizeof(Chunk));
+      for (int I = 0; I < Count; ++I)
+        Chunk[I] = Table[Digits[static_cast<size_t>(From + I)]];
+      W.write(Chunk, static_cast<size_t>(Count));
+      From += Count;
+    }
   }
-  W.put(Options.MarkChar);
+  if (From < To)
+    W.fill(static_cast<size_t>(To - From), Mark);
 }
 
-/// Decimal exponent with an explicit sign -- snprintf("%+d", Exponent).
-template <Sink Writer> void putExponent(Writer &W, int Exponent) {
-  W.put(Exponent < 0 ? '-' : '+');
+/// The exponent marker, then the decimal exponent with an explicit sign
+/// -- snprintf("%c%+d", Marker, Exponent) -- as one block.
+template <Sink Writer>
+void putExponent(Writer &W, char Marker, int Exponent) {
   unsigned Magnitude = Exponent < 0 ? 0u - static_cast<unsigned>(Exponent)
                                     : static_cast<unsigned>(Exponent);
-  char Reversed[12];
-  int Count = 0;
+  char Text[16];
+  size_t Begin = sizeof(Text);
   do {
-    Reversed[Count++] = static_cast<char>('0' + Magnitude % 10);
+    Text[--Begin] = static_cast<char>('0' + Magnitude % 10);
     Magnitude /= 10;
   } while (Magnitude != 0);
-  while (Count > 0)
-    W.put(Reversed[--Count]);
+  Text[--Begin] = Exponent < 0 ? '-' : '+';
+  Text[--Begin] = Marker;
+  W.write(Text + Begin, sizeof(Text) - Begin);
 }
 
 /// Positional notation, e.g. "123.45", "0.00078", "12300".
@@ -96,6 +126,7 @@ void renderPositionalInto(Writer &W, std::span<const uint8_t> Digits, int K,
                           int TrailingMarks, bool Negative,
                           const RenderOptions &Options) {
   const int Width = static_cast<int>(Digits.size()) + TrailingMarks;
+  const char *Table = digitTable(Options);
   if (Negative)
     W.put('-');
 
@@ -103,25 +134,20 @@ void renderPositionalInto(Writer &W, std::span<const uint8_t> Digits, int K,
     // Pure fraction: 0.000ddd...
     W.literal("0.");
     W.fill(static_cast<size_t>(-K), '0');
-    for (int I = 0; I < Width; ++I)
-      putPosition(W, Digits, I, Options);
+    putPositions(W, Digits, 0, Width, Table, Options.MarkChar);
     return;
   }
 
-  // Integer part: positions K-1 down to 0, zero-padded if the conversion
-  // stopped left of the radix point.
-  int Index = 0;
-  for (int Place = K - 1; Place >= 0; --Place, ++Index) {
-    if (Index < Width)
-      putPosition(W, Digits, Index, Options);
-    else
-      W.put('0');
+  if (K >= Width) {
+    // Nothing after the point: zero-padded if the conversion stopped left
+    // of the radix point.
+    putPositions(W, Digits, 0, Width, Table, Options.MarkChar);
+    W.fill(static_cast<size_t>(K - Width), '0');
+    return;
   }
-  if (Index >= Width)
-    return; // Nothing after the point.
+  putPositions(W, Digits, 0, K, Table, Options.MarkChar);
   W.put('.');
-  for (; Index < Width; ++Index)
-    putPosition(W, Digits, Index, Options);
+  putPositions(W, Digits, K, Width, Table, Options.MarkChar);
 }
 
 /// Scientific notation "d.ddd...e±x"; the exponent is always decimal.
@@ -131,16 +157,15 @@ void renderScientificInto(Writer &W, std::span<const uint8_t> Digits, int K,
                           const RenderOptions &Options) {
   const int Width = static_cast<int>(Digits.size()) + TrailingMarks;
   D4_ASSERT(Width > 0, "cannot render an empty digit string");
+  const char *Table = digitTable(Options);
   if (Negative)
     W.put('-');
-  putPosition(W, Digits, 0, Options);
+  putPositions(W, Digits, 0, 1, Table, Options.MarkChar);
   if (Width > 1) {
     W.put('.');
-    for (int I = 1; I < Width; ++I)
-      putPosition(W, Digits, I, Options);
+    putPositions(W, Digits, 1, Width, Table, Options.MarkChar);
   }
-  W.put(Options.ExponentMarker);
-  putExponent(W, K - 1);
+  putExponent(W, Options.ExponentMarker, K - 1);
 }
 
 /// Chooses positional or scientific per the options' K window.

@@ -35,20 +35,23 @@
 
 #include <concepts>
 #include <cstddef>
+#include <cstring>
 #include <string>
 #include <vector>
 
 namespace dragon4 {
 
-/// What a renderer may ask of an output surface.  written() reports the
-/// characters the sink has accepted (for a bounded sink: counting the
-/// dropped overflow, so it doubles as the required size).
+/// What a renderer may ask of an output surface: one byte, a run of one
+/// byte, a NUL-terminated literal, or a block of N bytes.  written()
+/// reports the characters the sink has accepted (for a bounded sink:
+/// counting the dropped overflow, so it doubles as the required size).
 template <typename S>
 concept Sink = requires(S &W, const S &CW, char C, size_t N,
                         const char *Text) {
   { W.put(C) };
   { W.fill(N, C) };
   { W.literal(Text) };
+  { W.write(Text, N) };
   { CW.written() } -> std::convertible_to<size_t>;
 };
 
@@ -59,14 +62,16 @@ struct StringSink {
   void put(char C) { Out.push_back(C); }
   void fill(size_t Count, char C) { Out.append(Count, C); }
   void literal(const char *Text) { Out.append(Text); }
+  void write(const char *Text, size_t Count) { Out.append(Text, Count); }
   size_t written() const { return Out.size(); }
 };
 
 /// Bounded caller buffer with snprintf-like overflow behaviour (minus the
-/// NUL): put() drops bytes past the capacity but keeps counting, so the
-/// written prefix is exactly the first Capacity characters of the full
-/// rendering and required() ends at the full length the output needs.
-/// This is the engine::format / StringTable-slot / C-ABI surface.
+/// NUL): every operation drops bytes past the capacity but keeps counting,
+/// so the written prefix is exactly the first Capacity characters of the
+/// full rendering and required() ends at the full length the output
+/// needs.  Block operations check the capacity once per block.  This is
+/// the engine::format / StringTable-slot / C-ABI surface.
 class BufferSink {
 public:
   BufferSink(char *Buffer, size_t Capacity) : Buf(Buffer), Cap(Capacity) {}
@@ -77,12 +82,15 @@ public:
     ++Pos;
   }
   void fill(size_t Count, char C) {
-    for (size_t I = 0; I < Count; ++I)
-      put(C);
+    if (Pos < Cap)
+      std::memset(Buf + Pos, C, room(Count));
+    Pos += Count;
   }
-  void literal(const char *Text) {
-    for (; *Text; ++Text)
-      put(*Text);
+  void literal(const char *Text) { write(Text, std::strlen(Text)); }
+  void write(const char *Text, size_t Count) {
+    if (Pos < Cap)
+      std::memcpy(Buf + Pos, Text, room(Count));
+    Pos += Count;
   }
   size_t written() const { return Pos; }
 
@@ -94,6 +102,11 @@ public:
   size_t capacity() const { return Cap; }
 
 private:
+  /// How many of \p Count bytes starting at Pos (< Cap) fit the buffer.
+  size_t room(size_t Count) const {
+    return Count < Cap - Pos ? Count : Cap - Pos;
+  }
+
   char *Buf;
   size_t Cap;
   size_t Pos = 0;
@@ -108,9 +121,9 @@ public:
 
   void put(char C) { Out.push_back(C); }
   void fill(size_t Count, char C) { Out.insert(Out.end(), Count, C); }
-  void literal(const char *Text) {
-    for (; *Text; ++Text)
-      Out.push_back(*Text);
+  void literal(const char *Text) { write(Text, std::strlen(Text)); }
+  void write(const char *Text, size_t Count) {
+    Out.insert(Out.end(), Text, Text + Count);
   }
   size_t written() const { return Out.size() - Start; }
 
@@ -127,10 +140,8 @@ struct CountingSink {
 
   void put(char) { ++Pos; }
   void fill(size_t Count, char) { Pos += Count; }
-  void literal(const char *Text) {
-    while (*Text++)
-      ++Pos;
-  }
+  void literal(const char *Text) { Pos += std::strlen(Text); }
+  void write(const char *, size_t Count) { Pos += Count; }
   size_t written() const { return Pos; }
 };
 

@@ -348,6 +348,42 @@ TEST(EngineAlloc, BoundedSinksThemselvesNeverAllocate) {
   EXPECT_EQ(GlobalNewCount.load(std::memory_order_relaxed) - NewBefore, 0u);
 }
 
+TEST(EngineAlloc, RyuPathNeverTouchesTheArena) {
+  // Ryu makes no BigInt, so a Scratch that formats only Ryu-path values
+  // (binary16/32/64, extended80 inside its window) never installs its
+  // arena: the high-water mark stays at zero until one exact-loop value.
+  eng::Scratch S;
+  char Buf[64];
+  for (double V : allocCorpus())
+    eng::format(V, Buf, sizeof(Buf), PrintOptions{}, S);
+  for (float V : randomBitsFloats(256, 0xa110c021))
+    eng::format(V, Buf, sizeof(Buf), PrintOptions{}, S);
+  for (uint32_t Bits = 1; Bits < 0x7c00; Bits += 97)
+    eng::format(Binary16::fromBits(static_cast<uint16_t>(Bits)), Buf,
+                sizeof(Buf), PrintOptions{}, S);
+  SplitMix64 Rng(0xa110c022);
+  using Format = FormatTraits<long double>;
+  for (int I = 0; I < 256; ++I) {
+    const int E = Format::RyuMinExponent +
+                  static_cast<int>(Rng.below(static_cast<uint64_t>(
+                      Format::RyuMaxExponent - Format::RyuMinExponent + 1)));
+    eng::format(std::ldexp(static_cast<long double>(
+                               Rng.next() | (uint64_t(1) << 63)),
+                           E),
+                Buf, sizeof(Buf), PrintOptions{}, S);
+  }
+  S.syncArenaStats();
+  EXPECT_GT(S.stats().RyuHits, 0u);
+  EXPECT_EQ(S.stats().SlowPathDirect, 0u);
+  EXPECT_EQ(S.stats().ArenaHighWaterBytes, 0u);
+
+  PrintOptions ExactOnly;
+  ExactOnly.Boundaries = BoundaryMode::LowInclusive;
+  eng::format(0.1, Buf, sizeof(Buf), ExactOnly, S);
+  EXPECT_EQ(S.stats().SlowPathDirect, 1u);
+  EXPECT_GT(S.stats().ArenaHighWaterBytes, 0u);
+}
+
 TEST(EngineAlloc, ArenaHighWaterIsBounded) {
   eng::Scratch S;
   char Buf[64];

@@ -12,8 +12,8 @@
 /// paths read are checked bit for bit against BigInt in
 /// pow5_table_test.cpp and grisu_test.cpp), so byte-identical agreement
 /// across a hostile input set -- deterministic random bit patterns, binade
-/// boundaries, powers of two and ten, pinned hard cases from the
-/// literature -- is strong evidence all three are right.  Grisu is consulted under its own model
+/// boundaries, powers of two and ten, decimal-origin values, pinned hard
+/// cases from the literature -- is strong evidence all three are right.  Grisu is consulted under its own model
 /// (conservative boundaries, round-up ties) and may decline ~0.5% of
 /// inputs; Ryu and Dragon4 must agree on every input, under both the
 /// conservative and the nearest-even reader.
@@ -29,7 +29,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 using namespace dragon4;
@@ -209,6 +212,51 @@ TEST(RyuDifferential, DoublePowersOfTwoAndTen) {
     Tenth /= 10.0;
   }
   EXPECT_EQ(Failures, 0);
+}
+
+/// Decimal-origin values: the nearest T to a random k-significant-digit
+/// decimal, for every k up to \p MaxDigits at every decimal exponent of
+/// the format.  Their shortest form has at most k digits, so Ryu removes
+/// the most digits on them, and over the range of k the removal counts
+/// end both odd and even -- the two-digit step and its one-digit tail.
+template <typename T>
+int diffDecimalOrigin(int MaxDigits, int MinExponent10, int MaxExponent10,
+                      int PerCell, uint64_t Seed) {
+  std::mt19937_64 Rng(Seed);
+  Scratch S;
+  int Failures = 0;
+  for (int Exponent10 = MinExponent10; Exponent10 <= MaxExponent10;
+       ++Exponent10) {
+    uint64_t Low = 1; // 10^(k-1)
+    for (int Digits = 1; Digits <= MaxDigits; ++Digits, Low *= 10) {
+      for (int I = 0; I < PerCell; ++I) {
+        const uint64_t Significand = Low + Rng() % (9 * Low);
+        char Text[48];
+        std::snprintf(Text, sizeof(Text), "%llue%d",
+                      static_cast<unsigned long long>(Significand),
+                      Exponent10 - Digits + 1);
+        T Value;
+        if constexpr (std::is_same_v<T, float>)
+          Value = std::strtof(Text, nullptr);
+        else
+          Value = std::strtod(Text, nullptr);
+        if (!diffBits<T>(IeeeTraits<T>::toBits(Value), S)) {
+          ADD_FAILURE() << "decimal origin " << Text;
+          if (++Failures >= 8)
+            return Failures;
+        }
+      }
+    }
+  }
+  return Failures;
+}
+
+TEST(RyuDifferential, DoubleDecimalOrigin) {
+  EXPECT_EQ(diffDecimalOrigin<double>(17, -324, 308, 2, 0x44656331ull), 0);
+}
+
+TEST(RyuDifferential, FloatDecimalOrigin) {
+  EXPECT_EQ(diffDecimalOrigin<float>(9, -45, 38, 8, 0x44656332ull), 0);
 }
 
 /// Pinned adversarial values from the float-printing literature: extreme

@@ -14,7 +14,9 @@
 ///   * formatPrintf(string) == formatPrintf(buffer), full and truncated;
 ///   * RecordStream bytes == concatenated toShortest records;
 ///   * the ERR_SIZE contract: one byte short fails with the exact
-///     required length, the exact length succeeds;
+///     required length, the exact length succeeds, and so does a random
+///     undersized capacity into a heap block of exactly that size, where
+///     engine::format leaves the reference's prefix;
 ///   * round-trip: shortest decimal output parses back to the identical
 ///     encoding through dragon4_from_chars AND parse::parseFloat
 ///     (decimal output with the default marker only -- other bases and
@@ -49,6 +51,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -197,6 +200,34 @@ void fuzzOne(const Reproducer &R, eng::Scratch &S) {
         Len != Reference.size()) {
       reportFailure(R, "one-byte-short call broke the ERR_SIZE contract",
                     std::to_string(Len), std::to_string(Reference.size()));
+      return;
+    }
+  }
+
+  // An undersized buffer of a random capacity below the required length,
+  // allocated at exactly that size (null at 0) so a sanitizer build
+  // catches any write past it.  The capacity is drawn from the case's own
+  // bits, so the case stream is unchanged and the reproducer replays it.
+  if (!Reference.empty()) {
+    const size_t Cap = static_cast<size_t>(
+        SplitMix64(R.Lo ^ R.CaseIndex).next() % Reference.size());
+    std::unique_ptr<char[]> Small(Cap ? new char[Cap] : nullptr);
+    if (dragon4_to_chars(Format, R.Lo, R.Hi, &R.Options, Small.get(), Cap,
+                         &Len) != DRAGON4_ERR_SIZE ||
+        Len != Reference.size()) {
+      reportFailure(R, "undersized call broke the ERR_SIZE contract",
+                    std::to_string(Len) + " at capacity " +
+                        std::to_string(Cap),
+                    std::to_string(Reference.size()));
+      return;
+    }
+    const size_t Truncated = eng::format(Value, Small.get(), Cap, Options, S);
+    if (Truncated != Reference.size() ||
+        (Cap && std::memcmp(Small.get(), Reference.data(), Cap) != 0)) {
+      reportFailure(R, "engine::format truncated prefix",
+                    std::string(Small.get(), Cap) + " (length " +
+                        std::to_string(Truncated) + ")",
+                    Reference.substr(0, Cap));
       return;
     }
   }
